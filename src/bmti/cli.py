@@ -18,7 +18,7 @@ from .baselines import abramson_k, gkde_density, knn_density
 from .datasets import DATASET_DEFAULTS, generate_dataset
 from .evaluation import align_and_mae, run_benchmark
 from .exceptions import BmtiError, DataError, ParameterError
-from .geometry import PointCloud
+from .geometry import PointCloud, knn_query_all
 from .intrinsic_dim import estimate_id_twonn
 from .pipeline import BmtiConfig, run_bmti
 
@@ -166,7 +166,8 @@ def _cmd_estimate(args) -> int:
         elif args.volume_dim == "embed":
             d_used = float(cloud.embed_dim)
         else:
-            d_used = estimate_id_twonn(cloud).d
+            _, dist = knn_query_all(cloud, 2)
+            d_used = estimate_id_twonn(dist, cloud.embed_dim).d
         k = args.k if args.k is not None else abramson_k(
             cloud.n_points, cloud.embed_dim
         )

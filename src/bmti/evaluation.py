@@ -21,7 +21,7 @@ from .baselines import abramson_k, gkde_density, knn_density
 from .datasets import DATASET_DEFAULTS, generate_dataset
 from .delta_f import calibration_report
 from .exceptions import DataError, ParameterError
-from .geometry import PointCloud
+from .geometry import PointCloud, knn_query_all
 from .intrinsic_dim import estimate_id_twonn
 from .pipeline import BmtiConfig, run_bmti
 
@@ -145,7 +145,8 @@ def _estimate_cell(
         if volume_dim == "embed":
             d = float(cloud.embed_dim)
         elif volume_dim == "id":
-            d = estimate_id_twonn(cloud).d
+            _, dist = knn_query_all(cloud, 2)
+            d = estimate_id_twonn(dist, cloud.embed_dim).d
         else:
             raise ParameterError(
                 f"volume_dim must be 'id' or 'embed', got {volume_dim!r}"

@@ -4,6 +4,11 @@ All distances are Euclidean. Queries are exact: a k-d tree accelerates low
 embedding dimensions and an exhaustive scan covers high ones, and both paths
 recompute distances with the same numpy expression and order candidates by
 (distance, index), so results are identical and ties are deterministic.
+
+`knn_query_all` builds the one kNN table of a run: `run_bmti` queries it
+once, at the adaptive-k cap, and hands its columns to TwoNN, adaptive k and
+the neighbour graph. `knn_query` answers for one point and serves as the
+per-point reference.
 """
 
 from __future__ import annotations
@@ -24,6 +29,15 @@ KDTREE_MAX_DIM = 15
 # Extra candidates fetched from the tree so that equal-distance points
 # straddling the cut are ordered by index, not by tree internals.
 _TIE_PAD = 8
+
+# Relative slack between the tree's distances and the recomputed ones. A row
+# whose k-th distance comes this close to its last candidate's may have
+# equal-distance points the tree left out, and is widened to a ball.
+_TIE_SLACK = 1e-9
+
+# Entries of the (rows, candidates, dim) difference block of one chunk of
+# rows; bounds the workspace of both query paths.
+_CHUNK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -105,19 +119,29 @@ def _canonical_order(diffs_sq: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray
     return cand[order], dist[order]
 
 
+def _canonical_candidates(
+    pts: np.ndarray, i: int, cand: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidates of point i other than itself, in (distance, index) order."""
+    cand = cand[cand != i]
+    return _canonical_order(((pts[cand] - pts[i]) ** 2).sum(axis=1), cand)
+
+
 def _query_one(cloud: PointCloud, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     pts = cloud.points
     n = cloud.n_points
     tree = cloud._tree
     if tree is None:
-        cand = np.delete(np.arange(n), i)
+        cand, dist = _canonical_candidates(pts, i, np.arange(n))
     else:
         m = min(k + 1 + _TIE_PAD, n)
         _, idx = tree.query(pts[i], k=m)
-        idx = np.atleast_1d(idx)
-        cand = idx[idx != i]
-    d2 = ((pts[cand] - pts[i]) ** 2).sum(axis=1)
-    cand, dist = _canonical_order(d2, cand)
+        cand, dist = _canonical_candidates(pts, i, np.atleast_1d(idx))
+        if m < n and dist[k - 1] * (1.0 + _TIE_SLACK) >= dist[-1]:
+            # Equal distances may run past the candidates: take every point
+            # the tree finds within the k-th distance.
+            ball = tree.query_ball_point(pts[i], dist[k - 1] * (1.0 + _TIE_SLACK))
+            cand, dist = _canonical_candidates(pts, i, np.asarray(ball, dtype=np.int64))
     return cand[:k], dist[:k]
 
 
@@ -141,6 +165,11 @@ def knn_query_all(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (indices, distances), each of shape (n, k), rows sorted nearest
     first with ties broken by index. Same results as per-point knn_query.
+    Rows are processed in chunks that bound the workspace. On the tree path
+    a row whose tree order is already canonical (self first, then strictly
+    increasing distance or equal distance with increasing index) is copied
+    as is; only rows with ties or duplicate points go through knn_query's
+    per-point path.
     """
     n = cloud.n_points
     if not 1 <= k <= n - 1:
@@ -151,23 +180,36 @@ def knn_query_all(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
     out_dist = np.empty((n, k), dtype=np.float64)
     if tree is not None:
         m = min(k + 1 + _TIE_PAD, n)
-        _, idx = tree.query(pts, k=m, workers=-1)
-        for i in range(n):
-            cand = idx[i][idx[i] != i]
-            d2 = ((pts[cand] - pts[i]) ** 2).sum(axis=1)
-            cand, dist = _canonical_order(d2, cand)
-            out_idx[i] = cand[:k]
-            out_dist[i] = dist[:k]
-    else:
-        # Exhaustive path, chunked to bound the (chunk, n, dim) workspace.
-        chunk = max(1, int(1e7) // (n * cloud.embed_dim))
-        all_idx = np.arange(n)
+        chunk = max(1, _CHUNK_ENTRIES // (m * cloud.embed_dim))
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            d2 = ((pts[lo:hi, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            for row, i in enumerate(range(lo, hi)):
-                cand = np.delete(all_idx, i)
-                c, dist = _canonical_order(d2[row][cand], cand)
-                out_idx[i] = c[:k]
-                out_dist[i] = dist[:k]
+            _, cand = tree.query(pts[lo:hi], k=m, workers=-1)
+            dist = np.sqrt(((pts[cand] - pts[lo:hi, None, :]) ** 2).sum(axis=2))
+            c, d = cand[:, 1:], dist[:, 1:]
+            # Rows whose tree order is canonical and whose k-th distance is
+            # clear of the last candidate's are final; the rest (ties,
+            # duplicate points) are queried again one by one.
+            final = (cand[:, 0] == np.arange(lo, hi)) & np.all(
+                (d[:, 1:] > d[:, :-1])
+                | ((d[:, 1:] == d[:, :-1]) & (c[:, 1:] > c[:, :-1])),
+                axis=1,
+            )
+            if m < n:
+                final &= d[:, k - 1] * (1.0 + _TIE_SLACK) < d[:, -1]
+            out_idx[lo:hi] = c[:, :k]
+            out_dist[lo:hi] = d[:, :k]
+            for row in np.flatnonzero(~final):
+                i = lo + row
+                out_idx[i], out_dist[i] = _query_one(cloud, i, k)
+    else:
+        # Exhaustive path. Columns are in index order, so a stable sort by
+        # distance orders each row by (distance, index); self sorts last.
+        chunk = max(1, _CHUNK_ENTRIES // (n * cloud.embed_dim))
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            dist = np.sqrt(((pts[lo:hi, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            out_idx[lo:hi] = order
+            out_dist[lo:hi] = np.take_along_axis(dist, order, axis=1)
     return out_idx, out_dist

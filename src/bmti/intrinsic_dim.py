@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, ParameterError
-from .geometry import PointCloud, knn_query_all
 
 
 @dataclass(frozen=True)
@@ -24,31 +23,37 @@ class IntrinsicDim:
     method: str = "twonn"
 
 
-def estimate_id_twonn(cloud: PointCloud, discard_fraction: float = 0.1) -> IntrinsicDim:
+def estimate_id_twonn(
+    dist: np.ndarray, embed_dim: int, discard_fraction: float = 0.1
+) -> IntrinsicDim:
     """Estimate the intrinsic dimension from two-neighbour distance ratios.
 
-    For each point the ratio mu = r2/r1 of second to first neighbour distance
-    follows a Pareto law with shape d under locally constant density. The
-    largest discard_fraction of the ratios (density-variation tail) are
-    censored rather than merely dropped, giving the maximum-likelihood
-    estimate
+    dist is the cloud's kNN distance table (knn_query_all), one row per
+    point; only its first two columns are read. For each point the ratio
+    mu = r2/r1 of second to first neighbour distance follows a Pareto law
+    with shape d under locally constant density. The largest
+    discard_fraction of the ratios (density-variation tail) are censored
+    rather than merely dropped, giving the maximum-likelihood estimate
 
         d = n_kept / (sum(log mu_kept) + n_censored * log mu_max_kept).
 
     The censoring term keeps the estimate unbiased; a plain truncated mean
     would inflate d by ~1.34 at the default fraction. The estimate is
-    clamped to (0, D]. Points with a coincident nearest neighbour (r1 = 0)
-    are skipped with a warning.
+    clamped to (0, embed_dim]. Points with a coincident nearest neighbour
+    (r1 = 0) are skipped with a warning.
     """
     if not 0.0 <= discard_fraction < 1.0:
         raise ParameterError(
             f"discard_fraction must be in [0, 1), got {discard_fraction}"
         )
-    n = cloud.n_points
+    n = dist.shape[0]
     if n < 10:
         raise ParameterError(f"TwoNN needs at least 10 points, got {n}")
+    if dist.ndim != 2 or dist.shape[1] < 2:
+        raise ParameterError(
+            f"TwoNN needs two neighbour distances per point, got shape {dist.shape}"
+        )
 
-    _, dist = knn_query_all(cloud, 2)
     r1, r2 = dist[:, 0], dist[:, 1]
     valid = r1 > 0.0
     n_skipped = int(n - valid.sum())
@@ -68,8 +73,8 @@ def estimate_id_twonn(cloud: PointCloud, discard_fraction: float = 0.1) -> Intri
     log_sum = float(logs.sum() + (n_valid - n_keep) * logs[-1])
     if log_sum <= 0.0:
         # Every kept ratio is exactly 1: degenerate, clamp to the embedding.
-        d = float(cloud.embed_dim)
+        d = float(embed_dim)
     else:
         d = n_keep / log_sum
-        d = min(d, float(cloud.embed_dim))
+        d = min(d, float(embed_dim))
     return IntrinsicDim(d=float(d), n_used=n_keep)

@@ -5,7 +5,8 @@ its k[i]-1 nearest neighbours; k[i] grows from k_min until a likelihood-ratio
 test says the local density stops being constant. The graph stores, per
 directed edge, the overlap count |Omega_i & Omega_j| and the first two
 moments of the shared points' projections on the edge, from which the error
-model downstream correlates the two endpoint estimates.
+model downstream correlates the two endpoint estimates. Both stages read the
+run's kNN table (geometry.knn_query_all) rather than querying it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 
 from .exceptions import DataError, ParameterError
-from .geometry import PointCloud, knn_query_all
+from .geometry import PointCloud
 
 # Likelihood-ratio stop threshold: chi-squared, 1 dof, p about 1e-6.
 LR_THRESHOLD = 23.928
@@ -87,13 +88,18 @@ class NeighborGraph:
 
 
 def select_adaptive_k(
-    cloud: PointCloud,
+    idx: np.ndarray,
+    dist: np.ndarray,
     d: float,
     lr_threshold: float = LR_THRESHOLD,
     k_min: int = K_MIN,
     k_max: int = K_MAX,
 ) -> np.ndarray:
     """Choose per-point neighbourhood sizes by a constant-density test.
+
+    (idx, dist) is the kNN table of the cloud (knn_query_all), one row per
+    point with at least min(k_max, n-1) - 1 columns; wider tables are read
+    only up to that column.
 
     Growth to size k admits the (k-1)-th nearest neighbour j. Both points'
     neighbour-shell volumes are i.i.d. exponential under constant density, so
@@ -106,7 +112,7 @@ def select_adaptive_k(
 
     Returns the integer array k, with k_min <= k[i] <= min(k_max, n-1).
     """
-    n = cloud.n_points
+    n = idx.shape[0]
     if k_min < 4:
         raise ParameterError(f"k_min must be >= 4, got {k_min}")
     if k_max < k_min:
@@ -121,13 +127,17 @@ def select_adaptive_k(
             f"n = {n} is too small for k_min = {k_min} with cap n-1 = {n - 1}"
         )
 
-    idx, dist = knn_query_all(cloud, cap - 1)
+    if dist.shape != idx.shape or idx.shape[1] < cap - 1:
+        raise ParameterError(
+            f"kNN table of shape {idx.shape} / {dist.shape} is narrower than "
+            f"the {cap - 1} columns adaptive k reads"
+        )
     if np.any(dist[:, k_min - 2] == 0.0):
         raise DataError("duplicate points inside the minimum neighbourhood")
 
     # log(V) up to the omega_d constant, which cancels in the statistic.
     with np.errstate(divide="ignore"):
-        log_rd = d * np.log(dist)
+        log_rd = d * np.log(dist[:, : cap - 1])
 
     k_arr = np.full(n, k_min, dtype=np.int64)
     active = np.arange(n)
@@ -147,9 +157,15 @@ def select_adaptive_k(
     return k_arr
 
 
-def build_neighbor_graph(cloud: PointCloud, k: np.ndarray) -> NeighborGraph:
+def build_neighbor_graph(
+    cloud: PointCloud, k: np.ndarray, idx: np.ndarray, dist: np.ndarray
+) -> NeighborGraph:
     """Materialize neighbour lists, radii, overlap counts and shared-point
-    moments for given sizes."""
+    moments for given sizes.
+
+    (idx, dist) is the kNN table of the cloud (knn_query_all) with at least
+    max(k) - 1 columns; wider tables are read only up to that column.
+    """
     n = cloud.n_points
     k = np.asarray(k, dtype=np.int64)
     if k.shape != (n,):
@@ -158,7 +174,11 @@ def build_neighbor_graph(cloud: PointCloud, k: np.ndarray) -> NeighborGraph:
         raise ParameterError("every k[i] must lie in [2, n-1]")
 
     kmax = int(k.max())
-    idx, dist = knn_query_all(cloud, kmax - 1)
+    if idx.shape[0] != n or dist.shape != idx.shape or idx.shape[1] < kmax - 1:
+        raise ParameterError(
+            f"kNN table of shape {idx.shape} / {dist.shape} does not cover "
+            f"{n} points with {kmax - 1} neighbours each"
+        )
     radii = dist[np.arange(n), k - 2].copy()
     if np.any(radii == 0.0):
         raise DataError("zero neighbourhood radius: duplicate points")
@@ -262,12 +282,15 @@ def jaccard_overlap(graph: NeighborGraph, i: int, j: int) -> float:
     return kij / float(graph.k[i] + graph.k[j] - kij)
 
 
-def connected_components(graph: NeighborGraph) -> np.ndarray:
-    """Weakly-connected component label per point."""
-    n = graph.n_points
+def edge_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Weakly-connected component label per point of a directed edge list."""
     adj = sp.csr_matrix(
-        (np.ones(graph.n_edges, dtype=np.int8), (graph.edge_src, graph.edge_dst)),
-        shape=(n, n),
+        (np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(n, n)
     )
     _, labels = _cc(adj, directed=True, connection="weak")
     return labels
+
+
+def connected_components(graph: NeighborGraph) -> np.ndarray:
+    """Weakly-connected component label per point."""
+    return edge_components(graph.n_points, graph.edge_src, graph.edge_dst)

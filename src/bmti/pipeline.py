@@ -1,7 +1,8 @@
 """End-to-end log-density estimation: dimension, graph, gradients, solve.
 
 run_bmti wires the stages together for production use; each stage remains
-available separately for inspection and testing.
+available separately for inspection and testing. A run queries one kNN table,
+at the adaptive-k cap, and hands it to TwoNN, adaptive k and the graph.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .delta_f import EPS2_MIN, DeltaFEdgeSet, build_delta_f_edges
 from .exceptions import ParameterError
 from .geometry import PointCloud
@@ -77,25 +79,35 @@ class BmtiResult:
 def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     """Estimate per-point negative log-density for a cloud.
 
-    Stages: TwoNN intrinsic dimension (unless fixed), adaptive neighbourhood
-    sizes, directed graph with overlaps, mean-shift gradients with
-    covariances, per-edge difference estimates, and the global solve (pure
-    at alpha = 1, anchor-blended otherwise).
+    Stages: one kNN table at the adaptive-k cap, TwoNN intrinsic dimension
+    (unless fixed), adaptive neighbourhood sizes, directed graph with
+    overlaps, mean-shift gradients with covariances, per-edge difference
+    estimates, and the global solve (pure at alpha = 1, anchor-blended
+    otherwise).
     """
     cfg = config if config is not None else BmtiConfig()
     if cfg.id_value is not None:
         d = float(cfg.id_value)
         if not np.isfinite(d) or d <= 0.0:
             raise ParameterError(f"id_value must be positive, got {cfg.id_value}")
-        id_est = None
-    else:
-        id_est = estimate_id_twonn(cloud)
+
+    cap = min(cfg.k_max, cloud.n_points - 1)
+    idx, dist = geometry.knn_query_all(cloud, max(1, cap - 1))
+    id_est = None
+    if cfg.id_value is None:
+        id_est = estimate_id_twonn(dist, cloud.embed_dim)
         d = id_est.d
 
     k = select_adaptive_k(
-        cloud, d, lr_threshold=cfg.lr_threshold, k_min=cfg.k_min, k_max=cfg.k_max
+        idx, dist, d,
+        lr_threshold=cfg.lr_threshold, k_min=cfg.k_min, k_max=cfg.k_max,
     )
-    graph = build_neighbor_graph(cloud, k)
+    # The graph reads max(k) - 1 columns. Copying them lets the full table be
+    # freed before the overlap kernel, and the rest before the gradients.
+    width = int(k.max()) - 1
+    idx, dist = idx[:, :width].copy(), dist[:, :width].copy()
+    graph = build_neighbor_graph(cloud, k, idx, dist)
+    del idx, dist
     gradients = compute_gradient_field(graph, cloud, d)
     edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
 
 from .delta_f import DeltaFEdgeSet, build_covariance
 from .exceptions import (
@@ -27,7 +26,7 @@ from .exceptions import (
 )
 from .geometry import PointCloud, unit_ball_volume
 from .gradients import GradientField
-from .neighborhoods import NeighborGraph
+from .neighborhoods import NeighborGraph, edge_components
 
 UNCERTAINTY_CAP = 2000
 
@@ -113,8 +112,7 @@ def assemble_system(
     np.add.at(b, dst, wv)
     np.subtract.at(b, src, wv)
 
-    adj = sp.csr_matrix((np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(n, n))
-    _, labels = _cc(adj, directed=True, connection="weak")
+    labels = edge_components(n, src, dst)
     return SolverSystem(A=A, b=b, n_edges=edges.n_edges, component_labels=labels)
 
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bmti.geometry import PointCloud
+from bmti.geometry import PointCloud, knn_query_all
+from bmti.intrinsic_dim import estimate_id_twonn
+from bmti.neighborhoods import K_MAX, build_neighbor_graph, select_adaptive_k
 
 _criterion_lines: list[str] = []
 
@@ -31,3 +33,23 @@ def random_cloud(rng, n: int, dim: int, truth: bool = False) -> PointCloud:
     pts = rng.standard_normal((n, dim))
     t = rng.standard_normal(n) if truth else None
     return PointCloud(points=pts, truth_F=t)
+
+
+# The kNN-reading stages, each fed from a table queried at the width it
+# reads. run_bmti queries one table for all three; a test of one stage
+# queries its own.
+
+
+def twonn(cloud: PointCloud, **kwargs):
+    _, dist = knn_query_all(cloud, 2)
+    return estimate_id_twonn(dist, cloud.embed_dim, **kwargs)
+
+
+def adaptive_k(cloud: PointCloud, d: float, k_max: int = K_MAX, **kwargs):
+    idx, dist = knn_query_all(cloud, min(k_max, cloud.n_points - 1) - 1)
+    return select_adaptive_k(idx, dist, d, k_max=k_max, **kwargs)
+
+
+def neighbor_graph(cloud: PointCloud, k):
+    idx, dist = knn_query_all(cloud, int(np.max(k)) - 1)
+    return build_neighbor_graph(cloud, k, idx, dist)

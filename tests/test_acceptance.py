@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import record_criterion
+from conftest import adaptive_k, neighbor_graph, record_criterion, twonn
 
 from bmti.baselines import abramson_k, gkde_density, knn_density
 from bmti.datasets import generate_dataset, make_potential, sample_mcmc
@@ -20,13 +20,7 @@ from bmti.delta_f import EPS2_MIN, DeltaFEdgeSet, build_delta_f_edges, calibrati
 from bmti.evaluation import align_and_mae
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
-from bmti.intrinsic_dim import estimate_id_twonn
-from bmti.neighborhoods import (
-    build_neighbor_graph,
-    connected_components,
-    jaccard_overlap,
-    select_adaptive_k,
-)
+from bmti.neighborhoods import connected_components, jaccard_overlap
 from bmti.pipeline import BmtiConfig, run_bmti
 from bmti.solver import (
     assemble_system,
@@ -255,8 +249,8 @@ def gradient_pull_cells():
     rows = []
     for seed in SEEDS:
         cloud = sample_mcmc(pot, 10000, seed=seed)
-        k = select_adaptive_k(cloud, 2.0)
-        graph = build_neighbor_graph(cloud, k)
+        k = adaptive_k(cloud, 2.0)
+        graph = neighbor_graph(cloud, k)
         field = compute_gradient_field(graph, cloud, 2.0)
         g_true = cloud.points * scale
         independent = _disjoint_points(graph)
@@ -400,7 +394,7 @@ def test_criterion_5_consistent_path_exactness():
         cloud = PointCloud(points=pts)
         k_val = int(rng.integers(4, 13))
         k = np.full(n, min(k_val, n - 1))
-        graph = build_neighbor_graph(cloud, k)
+        graph = neighbor_graph(cloud, k)
         coef = rng.normal(size=3)
         truth = coef[0] * pts[:, 0] + coef[1] * pts[:, 1] + coef[2] * (
             pts[:, 0] ** 2 + pts[:, 1] ** 2
@@ -456,9 +450,9 @@ def healing_cells():
     rows = []
     for seed in SEEDS:
         cloud = _two_gaussian_cloud(5000, seed)
-        d = estimate_id_twonn(cloud).d
-        k = select_adaptive_k(cloud, d)
-        graph = build_neighbor_graph(cloud, k)
+        d = twonn(cloud).d
+        k = adaptive_k(cloud, d)
+        graph = neighbor_graph(cloud, k)
         labels = connected_components(graph)
         gradients = compute_gradient_field(graph, cloud, d)
         edges = build_delta_f_edges(graph, gradients, cloud)
@@ -521,12 +515,12 @@ def test_criterion_7_invariance_suite():
         shift = rng.normal(scale=3.0, size=dim)
         k = np.full(n, 8)
         f1 = compute_gradient_field(
-            build_neighbor_graph(PointCloud(points=pts), k),
+            neighbor_graph(PointCloud(points=pts), k),
             PointCloud(points=pts), float(dim),
         )
         moved = pts @ q.T + shift
         f2 = compute_gradient_field(
-            build_neighbor_graph(PointCloud(points=moved), k),
+            neighbor_graph(PointCloud(points=moved), k),
             PointCloud(points=moved), float(dim),
         )
         equiv_worst = max(equiv_worst, float(np.abs(f2.g - f1.g @ q.T).max()))
@@ -537,11 +531,11 @@ def test_criterion_7_invariance_suite():
         n = int(rng.integers(60, 300))
         dim = int(rng.integers(2, 5))
         pts = rng.normal(size=(n, dim))
-        base = estimate_id_twonn(PointCloud(points=pts)).d
+        base = twonn(PointCloud(points=pts)).d
         p = int(rng.integers(-12, 13))
         if p == 0:
             p = 5
-        scaled = estimate_id_twonn(PointCloud(points=pts * 2.0**p)).d
+        scaled = twonn(PointCloud(points=pts * 2.0**p)).d
         if scaled != base:
             twonn_ok = False
 
@@ -551,7 +545,7 @@ def test_criterion_7_invariance_suite():
         n = int(rng.integers(30, 120))
         pts = rng.normal(size=(n, 2))
         k = np.full(n, int(rng.integers(4, 11)))
-        graph = build_neighbor_graph(PointCloud(points=pts), k)
+        graph = neighbor_graph(PointCloud(points=pts), k)
         for _ in range(10):
             i, j = (int(v) for v in rng.integers(0, n, size=2))
             jij = jaccard_overlap(graph, i, j)
@@ -578,7 +572,7 @@ def test_criterion_7_invariance_suite():
         pts = rng.normal(size=(n, 2))
         cloud = PointCloud(points=pts)
         k = np.full(n, int(rng.integers(6, 11)))
-        graph = build_neighbor_graph(cloud, k)
+        graph = neighbor_graph(cloud, k)
         field = compute_gradient_field(graph, cloud, 2.0)
         edges = build_delta_f_edges(graph, field, cloud)
         index = {

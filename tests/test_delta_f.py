@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from conftest import neighbor_graph
+
 from bmti.delta_f import (
     EPS2_MIN,
     build_covariance,
@@ -20,7 +22,6 @@ from bmti.delta_f import (
 from bmti.exceptions import CapabilityError, DataError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import GradientField, compute_gradient_field
-from bmti.neighborhoods import build_neighbor_graph
 
 
 def constant_field(n: int, g: np.ndarray, var: np.ndarray) -> GradientField:
@@ -32,7 +33,7 @@ def constant_field(n: int, g: np.ndarray, var: np.ndarray) -> GradientField:
 def pipeline_stages(rng, n=150, dim=2, k=10):
     pts = rng.standard_normal((n, dim))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(n, k))
+    graph = neighbor_graph(cloud, np.full(n, k))
     field = compute_gradient_field(graph, cloud, float(dim))
     return cloud, graph, field
 
@@ -178,7 +179,7 @@ def test_twin_square_edge_correlation_from_shared_points():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [50.0, 50.0]]
     )
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(5, 4))
+    graph = neighbor_graph(cloud, np.full(5, 4))
     field = compute_gradient_field(graph, cloud, 2.0)
     np.testing.assert_allclose(field.g[0], [-4.0 / 3.0, -4.0 / 3.0], rtol=1e-14)
     np.testing.assert_allclose(field.g[1], [4.0 / 3.0, -4.0 / 3.0], rtol=1e-14)
@@ -212,7 +213,7 @@ def test_covariance_entry_disjoint_edges(rng):
     a = rng.standard_normal((40, 2))
     b = rng.standard_normal((40, 2)) + 500.0
     cloud = PointCloud(points=np.vstack([a, b]))
-    graph = build_neighbor_graph(cloud, np.full(80, 6))
+    graph = neighbor_graph(cloud, np.full(80, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
     i, j = 0, int(graph.neighbors[0][0])
     l, m = 50, int(graph.neighbors[50][0])
@@ -229,7 +230,7 @@ def test_covariance_entry_hand_instance():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [50.0, 50.0]]
     )
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(5, 4))
+    graph = neighbor_graph(cloud, np.full(5, 4))
     field = compute_gradient_field(graph, cloud, 2.0)
     got = covariance_entry(graph, field, cloud, (0, 1), (2, 3))
     assert got == pytest.approx(4.0 / 27.0, rel=1e-12)
@@ -239,7 +240,7 @@ def test_covariance_entry_hand_instance():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [0.0, -1.0]]
     )
     cloud2 = PointCloud(points=pts2)
-    graph2 = build_neighbor_graph(cloud2, np.full(5, 4))
+    graph2 = neighbor_graph(cloud2, np.full(5, 4))
     field2 = compute_gradient_field(graph2, cloud2, 2.0)
     members = [graph2.neighbors[i].tolist() for i in range(5)]
 
@@ -301,7 +302,7 @@ def test_calibration_exact_estimates_give_zero_pulls(rng):
     pts = rng.standard_normal((50, 2))
     truth = rng.standard_normal(50)
     cloud = PointCloud(points=pts, truth_F=truth)
-    graph = build_neighbor_graph(cloud, np.full(50, 6))
+    graph = neighbor_graph(cloud, np.full(50, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
     edges = build_delta_f_edges(graph, field, cloud)
     edges.delta_f = truth[edges.dst] - truth[edges.src]
@@ -315,7 +316,7 @@ def test_calibration_normal_pulls_pass_ks(rng):
     pts = rng.standard_normal((200, 2))
     truth = rng.standard_normal(200)
     cloud = PointCloud(points=pts, truth_F=truth)
-    graph = build_neighbor_graph(cloud, np.full(200, 8))
+    graph = neighbor_graph(cloud, np.full(200, 8))
     field = compute_gradient_field(graph, cloud, 2.0)
     edges = build_delta_f_edges(graph, field, cloud)
     z = rng.standard_normal(edges.n_edges)

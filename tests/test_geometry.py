@@ -7,10 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import (
     KDTREE_MAX_DIM,
     PointCloud,
+    _canonical_order,
     knn_query,
     knn_query_all,
     unit_ball_volume,
@@ -73,6 +75,55 @@ def test_tree_and_scan_paths_agree(rng):
     ih, dh = knn_query_all(high, 12)
     np.testing.assert_array_equal(il, ih)
     np.testing.assert_array_equal(dl, dh)
+
+
+# 17 copies of -2 among 60 points on a line: the tree's candidates for one of
+# them (point 7) are self and 9 of its twins in increasing index, skipping
+# the lowest twin (point 1), so the row looks canonical but is not.
+_TWINS_PAST_CUT = (
+    "0 -2 0 -2 2 2 0 -2 0 1 2 2 -1 2 -1 0 1 -2 -1 -2 -2 1 -2 -2 1 -1 0 0 -2 1 "
+    "-2 2 -1 1 -1 1 -2 -1 0 -1 -2 -2 -2 2 2 -2 1 -2 2 0 -2 1 -1 1 -1 2 0 -1 -1 2"
+)
+
+
+def _tie_cases(rng):
+    """Clouds whose ties the tree does not order: a 2-d integer lattice
+    (ties at every shell, so also at the tree's cut), a Gaussian cloud with
+    repeated points (self not always first among its zero-distance twins)
+    and a line with more twins than the tree's candidates."""
+    grid = np.stack(np.meshgrid(np.arange(13.0), np.arange(11.0)), -1).reshape(-1, 2)
+    dup = rng.standard_normal((200, 3))
+    dup[100:130] = dup[:30]
+    dup[130:140] = dup[0]
+    line = np.array(_TWINS_PAST_CUT.split(), dtype=np.float64)[:, None]
+    return {"lattice": (grid, 12), "duplicates": (dup, 15), "twins": (line, 1)}
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "twins"])
+def test_query_all_matches_per_point_with_ties(rng, monkeypatch, case):
+    pts, k = _tie_cases(rng)[case]
+    n, dim = pts.shape
+    # The same geometry above the tree cutoff, zero-padded, takes the scan path.
+    wide = np.hstack([pts, np.zeros((n, KDTREE_MAX_DIM + 1 - dim))])
+    reordered = []
+    monkeypatch.setattr(
+        geometry, "_canonical_order",
+        lambda d2, cand: reordered.append(1) or _canonical_order(d2, cand),
+    )
+    for cloud in (PointCloud(points=pts), PointCloud(points=wide)):
+        reordered.clear()
+        idx, dist = knn_query_all(cloud, k)
+        if cloud._tree is not None:
+            # Some rows leave the tree out of canonical order; they are
+            # reordered one by one.
+            assert reordered
+        for i in range(n):
+            res = knn_query(cloud, i, k)
+            assert idx[i].tolist() == res.indices.tolist()
+            np.testing.assert_array_equal(dist[i], res.distances)
+            want_idx, want_dist = brute_neighbors(pts, i, k)
+            assert idx[i].tolist() == want_idx.tolist()
+            np.testing.assert_array_equal(dist[i], want_dist)
 
 
 def test_exact_ties_break_by_index():

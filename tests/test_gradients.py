@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import adaptive_k, neighbor_graph
+
 from bmti.exceptions import ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import (
@@ -15,7 +17,7 @@ from bmti.gradients import (
     gradient_cross_covariance,
     sample_mean_shift,
 )
-from bmti.neighborhoods import NeighborGraph, build_neighbor_graph, select_adaptive_k
+from bmti.neighborhoods import NeighborGraph
 
 
 def manual_graph(k, neighbors, radii, n=None):
@@ -39,8 +41,8 @@ def gauss_field():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((10_000, 2))
     cloud = PointCloud(points=pts)
-    k = select_adaptive_k(cloud, 2.0)
-    graph = build_neighbor_graph(cloud, k)
+    k = adaptive_k(cloud, 2.0)
+    graph = neighbor_graph(cloud, k)
     field = compute_gradient_field(graph, cloud, 2.0)
     return pts, field
 
@@ -62,7 +64,7 @@ def test_mean_shift_symmetric_cancellation():
 def test_gradient_hand_line_case():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [100.0, 100.0], [101.0, 100.0]])
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(5, 3))
+    graph = neighbor_graph(cloud, np.full(5, 3))
     assert graph.neighbors[0].tolist() == [1, 2]
     assert graph.radii[0] == 3.0
     np.testing.assert_allclose(sample_mean_shift(graph, cloud, 0), [2.0, 0.0])
@@ -76,7 +78,7 @@ def test_gradient_field_hand_values():
         [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.5], [10.0, 10.0]]
     )
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(5, 4))
+    graph = neighbor_graph(cloud, np.full(5, 4))
     assert graph.neighbors[0].tolist() == [3, 1, 2]
     assert graph.radii[0] == 1.0
     field = compute_gradient_field(graph, cloud, 2.0)
@@ -104,7 +106,7 @@ def test_tail_shift_points_inward():
         rng = np.random.default_rng(seed)
         pts = np.vstack([[2.0, 0.0], rng.standard_normal((2000, 2))])
         cloud = PointCloud(points=pts)
-        graph = build_neighbor_graph(cloud, np.full(2001, 32))
+        graph = neighbor_graph(cloud, np.full(2001, 32))
         if sample_mean_shift(graph, cloud, 0)[0] < 0.0:
             hits += 1
     assert hits >= 38
@@ -113,7 +115,7 @@ def test_tail_shift_points_inward():
 def test_uniform_gradients_average_to_zero():
     rng = np.random.default_rng(12)
     cloud = PointCloud(points=rng.uniform(size=(4000, 2)))
-    graph = build_neighbor_graph(cloud, np.full(4000, 32))
+    graph = neighbor_graph(cloud, np.full(4000, 32))
     field = compute_gradient_field(graph, cloud, 2.0)
     for a in range(2):
         se = field.g[:, a].std(ddof=1) / np.sqrt(4000)
@@ -151,7 +153,7 @@ def test_autocovariance_zero_spread():
 def test_autocovariance_symmetric_psd(rng):
     pts = rng.standard_normal((200, 3))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(200, 12))
+    graph = neighbor_graph(cloud, np.full(200, 12))
     field = compute_gradient_field(graph, cloud, 3.0)
     for i in range(0, 200, 17):
         cov = field.var_g[i]
@@ -163,7 +165,7 @@ def test_cross_covariance_disjoint_zero(rng):
     a = rng.standard_normal((30, 2))
     b = rng.standard_normal((30, 2)) + 500.0
     cloud = PointCloud(points=np.vstack([a, b]))
-    graph = build_neighbor_graph(cloud, np.full(60, 6))
+    graph = neighbor_graph(cloud, np.full(60, 6))
     cov = gradient_cross_covariance(graph, cloud, 2.0, 0, 45)
     np.testing.assert_array_equal(cov, np.zeros((2, 2)))
 
@@ -171,7 +173,7 @@ def test_cross_covariance_disjoint_zero(rng):
 def test_cross_covariance_self_identity(rng):
     pts = rng.standard_normal((120, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(120, 10))
+    graph = neighbor_graph(cloud, np.full(120, 10))
     for i in (0, 31, 77):
         auto = gradient_autocovariance(graph, cloud, 2.0, i)
         cross = gradient_cross_covariance(graph, cloud, 2.0, i, i)
@@ -185,7 +187,7 @@ def test_cross_covariance_against_bootstrap():
     rng = np.random.default_rng(77)
     pts = rng.standard_normal((1200, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(1200, 64))
+    graph = neighbor_graph(cloud, np.full(1200, 64))
     checked = 0
     for i in (3, 101, 555):
         j = int(graph.neighbors[i][0])
@@ -224,10 +226,10 @@ def test_cross_covariance_against_bootstrap():
 
 def test_field_guards(rng):
     cloud = PointCloud(points=rng.standard_normal((30, 2)))
-    graph = build_neighbor_graph(cloud, np.full(30, 3))
+    graph = neighbor_graph(cloud, np.full(30, 3))
     with pytest.raises(ParameterError):
         compute_gradient_field(graph, cloud, 2.0)
-    graph4 = build_neighbor_graph(cloud, np.full(30, 4))
+    graph4 = neighbor_graph(cloud, np.full(30, 4))
     with pytest.raises(ParameterError):
         compute_gradient_field(graph4, cloud, -2.0)
     with pytest.raises(ParameterError):
@@ -241,14 +243,14 @@ def test_isometry_equivariance(rng):
     theta = 0.7
     q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     moved = pts @ q.T + np.array([3.0, -1.5])
-    k = select_adaptive_k(PointCloud(points=pts), 2.0, k_max=24)
-    k2 = select_adaptive_k(PointCloud(points=moved), 2.0, k_max=24)
+    k = adaptive_k(PointCloud(points=pts), 2.0, k_max=24)
+    k2 = adaptive_k(PointCloud(points=moved), 2.0, k_max=24)
     np.testing.assert_array_equal(k, k2)
     f1 = compute_gradient_field(
-        build_neighbor_graph(PointCloud(points=pts), k), PointCloud(points=pts), 2.0
+        neighbor_graph(PointCloud(points=pts), k), PointCloud(points=pts), 2.0
     )
     f2 = compute_gradient_field(
-        build_neighbor_graph(PointCloud(points=moved), k2),
+        neighbor_graph(PointCloud(points=moved), k2),
         PointCloud(points=moved),
         2.0,
     )

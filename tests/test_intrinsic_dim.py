@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import twonn
+
 from bmti.datasets import generate_dataset
 from bmti.exceptions import ParameterError
 from bmti.geometry import PointCloud, knn_query_all
@@ -28,7 +30,7 @@ def pareto_tail_fit(cloud: PointCloud, discard_fraction: float = 0.1) -> float:
 def test_uniform_square_dimension():
     rng = np.random.default_rng(5)
     cloud = PointCloud(points=rng.uniform(size=(10_000, 2)))
-    est = estimate_id_twonn(cloud)
+    est = twonn(cloud)
     assert 1.9 <= est.d <= 2.1
     assert est.d == pytest.approx(pareto_tail_fit(cloud), rel=0.05)
 
@@ -38,39 +40,39 @@ def test_segment_in_three_dims():
     t = rng.uniform(size=1000)
     direction = np.array([1.0, 2.0, -0.5])
     cloud = PointCloud(points=np.outer(t, direction))
-    est = estimate_id_twonn(cloud)
+    est = twonn(cloud)
     assert 0.95 <= est.d <= 1.05
 
 
 def test_rolled_two_dim_manifold_in_twenty():
     cloud = generate_dataset("mb2d-20d", n=2000, seed=0)
     assert cloud.embed_dim == 20
-    est = estimate_id_twonn(cloud)
+    est = twonn(cloud)
     assert 1.8 <= est.d <= 2.3
 
 
 def test_power_of_two_scaling_is_bitwise():
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((400, 3))
-    base = estimate_id_twonn(PointCloud(points=pts)).d
+    base = twonn(PointCloud(points=pts)).d
     for exp in (-12, -3, 1, 9):
-        scaled = estimate_id_twonn(PointCloud(points=pts * 2.0**exp)).d
+        scaled = twonn(PointCloud(points=pts * 2.0**exp)).d
         assert scaled == base
 
 
 def test_generic_scaling_close():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((400, 3))
-    base = estimate_id_twonn(PointCloud(points=pts)).d
+    base = twonn(PointCloud(points=pts)).d
     for c in (0.137, 3.9, 271.5):
-        scaled = estimate_id_twonn(PointCloud(points=pts * c)).d
+        scaled = twonn(PointCloud(points=pts * c)).d
         assert scaled == pytest.approx(base, rel=1e-9)
 
 
 def test_clamped_to_embedding_dimension():
     rng = np.random.default_rng(9)
     cloud = PointCloud(points=rng.uniform(size=(2000, 1)))
-    est = estimate_id_twonn(cloud)
+    est = twonn(cloud)
     assert 0.0 < est.d <= 1.0
 
 
@@ -79,16 +81,18 @@ def test_coincident_neighbours_skipped():
     pts = rng.standard_normal((50, 2))
     pts[1] = pts[0]
     with pytest.warns(UserWarning, match="coincident"):
-        est = estimate_id_twonn(PointCloud(points=pts))
+        est = twonn(PointCloud(points=pts))
     assert np.isfinite(est.d)
 
 
 def test_parameter_guards(rng):
-    cloud = PointCloud(points=rng.standard_normal((50, 2)))
+    _, dist = knn_query_all(PointCloud(points=rng.standard_normal((50, 2))), 2)
     with pytest.raises(ParameterError):
-        estimate_id_twonn(cloud, discard_fraction=1.0)
+        estimate_id_twonn(dist, 2, discard_fraction=1.0)
     with pytest.raises(ParameterError):
-        estimate_id_twonn(cloud, discard_fraction=-0.1)
-    small = PointCloud(points=rng.standard_normal((9, 2)))
+        estimate_id_twonn(dist, 2, discard_fraction=-0.1)
     with pytest.raises(ParameterError):
-        estimate_id_twonn(small)
+        estimate_id_twonn(dist[:, :1], 2)
+    _, small = knn_query_all(PointCloud(points=rng.standard_normal((9, 2))), 2)
+    with pytest.raises(ParameterError):
+        estimate_id_twonn(small, 2)

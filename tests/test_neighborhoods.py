@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import adaptive_k, neighbor_graph
+
 from bmti.exceptions import DataError, ParameterError
-from bmti.geometry import PointCloud
+from bmti.geometry import PointCloud, knn_query_all
 from bmti.neighborhoods import (
     build_neighbor_graph,
     connected_components,
@@ -54,7 +56,7 @@ def test_selection_matches_reference_loop():
     for _ in range(4):
         pts = rng.standard_normal((120, 2)) * np.array([1.0, 0.3])
         cloud = PointCloud(points=pts)
-        got = select_adaptive_k(cloud, 2.0, lr_threshold=10.0, k_min=4, k_max=40)
+        got = adaptive_k(cloud, 2.0, lr_threshold=10.0, k_min=4, k_max=40)
         want = adaptive_k_oracle(pts, 2.0, 10.0, 4, 40)
         np.testing.assert_array_equal(got, want)
 
@@ -64,7 +66,7 @@ def test_uniform_density_saturates():
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
         cloud = PointCloud(points=rng.uniform(size=(10_000, 2)))
-        k = select_adaptive_k(cloud, 2.0, k_max=128)
+        k = adaptive_k(cloud, 2.0, k_max=128)
         hits.append(np.mean(k == 128))
     assert min(hits) > 0.8
 
@@ -72,7 +74,7 @@ def test_uniform_density_saturates():
 def test_small_sample_cap():
     rng = np.random.default_rng(3)
     cloud = PointCloud(points=rng.standard_normal((12, 2)))
-    k = select_adaptive_k(cloud, 2.0, k_max=256)
+    k = adaptive_k(cloud, 2.0, k_max=256)
     assert np.all(k <= 11) and np.all(k >= 4)
 
 
@@ -80,7 +82,7 @@ def test_tail_neighbourhoods_shrink():
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((5000, 2))
     cloud = PointCloud(points=pts)
-    k = select_adaptive_k(cloud, 2.0)
+    k = adaptive_k(cloud, 2.0)
     r = np.linalg.norm(pts, axis=1)
     tail = np.median(k[r > 2.0])
     core = np.median(k[r < 0.5])
@@ -89,23 +91,27 @@ def test_tail_neighbourhoods_shrink():
 
 def test_selection_guards(rng):
     cloud = PointCloud(points=rng.standard_normal((50, 2)))
+    table = knn_query_all(cloud, 49)
     with pytest.raises(ParameterError):
-        select_adaptive_k(cloud, 2.0, k_min=3)
+        select_adaptive_k(*table, 2.0, k_min=3)
     with pytest.raises(ParameterError):
-        select_adaptive_k(cloud, 2.0, k_min=8, k_max=7)
+        select_adaptive_k(*table, 2.0, k_min=8, k_max=7)
     with pytest.raises(ParameterError):
-        select_adaptive_k(cloud, -1.0)
+        select_adaptive_k(*table, -1.0)
     with pytest.raises(ParameterError):
-        select_adaptive_k(cloud, 2.0, lr_threshold=0.0)
+        select_adaptive_k(*table, 2.0, lr_threshold=0.0)
+    narrow = knn_query_all(cloud, 10)
+    with pytest.raises(ParameterError):
+        select_adaptive_k(*narrow, 2.0, k_max=13)
     tiny = PointCloud(points=rng.standard_normal((4, 2)))
     with pytest.raises(DataError):
-        select_adaptive_k(tiny, 2.0)
+        select_adaptive_k(*knn_query_all(tiny, 3), 2.0)
 
 
 def test_graph_structure_line_points():
     pts = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.array([3, 4, 3, 3, 3, 3]))
+    graph = neighbor_graph(cloud, np.array([3, 4, 3, 3, 3, 3]))
     assert graph.neighbors[0].tolist() == [1, 2]
     assert graph.neighbors[1].tolist() == [0, 2, 3]
     assert graph.radii[0] == 2.0
@@ -123,8 +129,8 @@ def test_shared_moments_match_set_intersection(rng):
     # that happen to be centred already.
     pts = rng.standard_normal((80, 2)) + np.array([40.0, -25.0])
     cloud = PointCloud(points=pts)
-    k = select_adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    graph = build_neighbor_graph(cloud, k)
+    k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
+    graph = neighbor_graph(cloud, k)
     sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
     for e in range(graph.n_edges):
         i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
@@ -140,8 +146,8 @@ def test_shared_moments_match_set_intersection(rng):
 def test_overlap_table_matches_set_intersection(rng):
     pts = rng.standard_normal((80, 2))
     cloud = PointCloud(points=pts)
-    k = select_adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    graph = build_neighbor_graph(cloud, k)
+    k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
+    graph = neighbor_graph(cloud, k)
     sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
     for e in range(graph.n_edges):
         i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
@@ -166,7 +172,7 @@ def test_overlap_table_matches_set_intersection(rng):
 def test_jaccard_bounds_and_symmetry(rng):
     pts = rng.standard_normal((60, 3))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(60, 8))
+    graph = neighbor_graph(cloud, np.full(60, 8))
     for i in range(0, 60, 5):
         for j in range(0, 60, 5):
             chi = jaccard_overlap(graph, i, j)
@@ -177,7 +183,7 @@ def test_jaccard_bounds_and_symmetry(rng):
 def test_radii_match_listed_neighbours(rng):
     pts = rng.standard_normal((70, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(70, 6))
+    graph = neighbor_graph(cloud, np.full(70, 6))
     for i in range(70):
         last = graph.neighbors[i][-1]
         d = float(np.linalg.norm(pts[last] - pts[i]))
@@ -188,7 +194,7 @@ def test_radii_match_listed_neighbours(rng):
 
 def test_components_single_blob(rng):
     cloud = PointCloud(points=rng.standard_normal((100, 2)))
-    graph = build_neighbor_graph(cloud, np.full(100, 6))
+    graph = neighbor_graph(cloud, np.full(100, 6))
     labels = connected_components(graph)
     assert np.all(labels == 0)
 
@@ -197,7 +203,7 @@ def test_components_two_far_clusters(rng):
     a = rng.standard_normal((50, 2))
     b = rng.standard_normal((50, 2)) + 1000.0
     cloud = PointCloud(points=np.vstack([a, b]))
-    graph = build_neighbor_graph(cloud, np.full(100, 6))
+    graph = neighbor_graph(cloud, np.full(100, 6))
     labels = connected_components(graph)
     assert len(np.unique(labels)) == 2
     assert len(np.unique(labels[:50])) == 1
@@ -206,14 +212,17 @@ def test_components_two_far_clusters(rng):
 
 def test_graph_guards(rng):
     cloud = PointCloud(points=rng.standard_normal((20, 2)))
+    table = knn_query_all(cloud, 19)
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(19, 5))
+        build_neighbor_graph(cloud, np.full(19, 5), *table)
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(20, 1))
+        build_neighbor_graph(cloud, np.full(20, 1), *table)
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(20, 20))
+        build_neighbor_graph(cloud, np.full(20, 20), *table)
+    with pytest.raises(ParameterError):
+        build_neighbor_graph(cloud, np.full(20, 6), *knn_query_all(cloud, 4))
     dup = np.zeros((6, 2))
     dup[3:] += 1.0
     dup_cloud = PointCloud(points=dup)
     with pytest.raises(DataError):
-        build_neighbor_graph(dup_cloud, np.full(6, 3))
+        build_neighbor_graph(dup_cloud, np.full(6, 3), *knn_query_all(dup_cloud, 5))

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import neighbor_graph
+
 from bmti.delta_f import DeltaFEdgeSet, build_delta_f_edges
 from bmti.exceptions import CapabilityError, ParameterError, StateError
 from bmti.geometry import PointCloud, unit_ball_volume
 from bmti.gradients import compute_gradient_field
-from bmti.neighborhoods import build_neighbor_graph
 from bmti.solver import (
     assemble_system,
     estimate_uncertainties,
@@ -190,7 +191,7 @@ def test_empty_edge_set_rejected():
 def test_anchor_hand_value(rng):
     pts = rng.standard_normal((10, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(10, 4))
+    graph = neighbor_graph(cloud, np.full(10, 4))
     f0, h = knn_anchor(graph, cloud, 2.0)
     i = 3
     r = graph.radii[i]
@@ -204,7 +205,7 @@ def test_anchor_hand_value(rng):
 def test_regularized_limits(rng):
     pts = rng.standard_normal((60, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(60, 6))
+    graph = neighbor_graph(cloud, np.full(60, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
     edges = build_delta_f_edges(graph, field, cloud)
     f0, h = knn_anchor(graph, cloud, 2.0)
@@ -221,7 +222,7 @@ def test_regularized_limits(rng):
 def test_regularized_blend_matches_dense(rng):
     pts = rng.standard_normal((40, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(40, 5))
+    graph = neighbor_graph(cloud, np.full(40, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
     edges = build_delta_f_edges(graph, field, cloud)
     f0, h = knn_anchor(graph, cloud, 2.0)
@@ -237,7 +238,7 @@ def test_regularized_disconnected_warns(rng):
     a = rng.standard_normal((20, 2))
     b = rng.standard_normal((20, 2)) + 500.0
     cloud = PointCloud(points=np.vstack([a, b]))
-    graph = build_neighbor_graph(cloud, np.full(40, 5))
+    graph = neighbor_graph(cloud, np.full(40, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
     edges = build_delta_f_edges(graph, field, cloud)
     f0, h = knn_anchor(graph, cloud, 2.0)
@@ -251,7 +252,7 @@ def test_regularized_disconnected_warns(rng):
 def test_regularized_guards(rng):
     pts = rng.standard_normal((20, 2))
     cloud = PointCloud(points=pts)
-    graph = build_neighbor_graph(cloud, np.full(20, 5))
+    graph = neighbor_graph(cloud, np.full(20, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
     edges = build_delta_f_edges(graph, field, cloud)
     f0, h = knn_anchor(graph, cloud, 2.0)
