@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.stats import kstest
 
+from . import geometry
 from .exceptions import CapabilityError, DataError, ParameterError
 from .geometry import PointCloud
 from .gradients import GradientField, shift_cross_covariance
@@ -198,8 +199,9 @@ def build_delta_f_edges(
     mu_dst = np.empty(n_e)
 
     dim = cloud.embed_dim
-    batch = max(1, int(4e6) // (dim * dim))
-    for s in range(0, n_e, batch):
+    batch = max(1, geometry._BATCH_ENTRIES // (dim * dim))
+
+    def edge_batch(s: int) -> None:
         e = min(s + batch, n_e)
         i_b, j_b = src[s:e], dst[s:e]
         r = pts[j_b] - pts[i_b]
@@ -213,6 +215,8 @@ def build_delta_f_edges(
         r2[s:e] = np.einsum("ed,ed->e", r, r)
         mu_src[s:e] = np.einsum("ed,ed->e", shift[i_b], r)
         mu_dst[s:e] = np.einsum("ed,ed->e", shift[j_b], r)
+
+    geometry._run_batches(edge_batch, n_e, batch)
 
     for q in (q_src, q_dst):
         neg = q < 0.0
@@ -302,10 +306,8 @@ def build_covariance(
     n_e = edges.n_edges
     # All pairs of intersecting neighbourhoods (centres included), whether or
     # not they are edges.
-    col = np.concatenate([np.concatenate(graph.neighbors), np.arange(n)])
-    row = np.concatenate(
-        [np.repeat(np.arange(n), graph.k - 1), np.arange(n)]
-    ).astype(np.int64)
+    col = np.concatenate([graph.edge_dst, np.arange(n)])
+    row = np.concatenate([graph.edge_src, np.arange(n)])
     member = sp.csr_matrix(
         (np.ones(col.shape[0], dtype=np.int64), (row, col)), shape=(n, n)
     )

@@ -9,10 +9,17 @@ recompute distances with the same numpy expression and order candidates by
 once, at the adaptive-k cap, and hands its columns to TwoNN, adaptive k and
 the neighbour graph. `knn_query` answers for one point and serves as the
 per-point reference.
+
+The k-d tree query runs on every CPU. The per-batch kernels of the graph,
+gradient and edge stages do too, through `_run_batches`: one thread per CPU
+in the process's affinity mask, each batch writing its own slice of output
+arrays allocated beforehand, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +45,17 @@ _TIE_SLACK = 1e-9
 # Entries of the (rows, candidates, dim) difference block of one chunk of
 # rows; bounds the workspace of both query paths.
 _CHUNK_ENTRIES = 1 << 21
+
+# Array entries one batch of a stage kernel (overlap, gradient, edge) may
+# span; small enough that a batch's temporaries stay in cache.
+_BATCH_ENTRIES = 1 << 19
+
+# Threads of the stage kernels: the CPUs this process may run on, read once
+# at import (start the process under taskset to limit them).
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # platforms without affinity masks
+    _WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -213,3 +231,22 @@ def knn_query_all(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
             out_idx[lo:hi] = order
             out_dist[lo:hi] = np.take_along_axis(dist, order, axis=1)
     return out_idx, out_dist
+
+
+def _run_batches(fn, total: int, batch: int) -> None:
+    """Call fn(start) for start in range(0, total, batch) on _WORKERS threads.
+
+    Each call must write only its own slice of preallocated outputs and read
+    shared inputs without mutating them. Runs inline when there is one CPU or
+    one batch. An exception raised by a batch is re-raised here.
+    """
+    starts = range(0, total, batch)
+    workers = min(_WORKERS, len(starts))
+    if workers <= 1:
+        for start in starts:
+            fn(start)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # Reading every result re-raises the first failed batch's exception.
+        for _ in pool.map(fn, starts):
+            pass

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
 from .neighborhoods import NeighborGraph
@@ -170,9 +171,10 @@ def compute_gradient_field(
     starts = np.concatenate([[0], np.cumsum(graph.k - 1)])
     shift = np.empty((n, dim))
     scatter = np.empty((n, dim, dim))
-    # Points in chunks, so the per-edge outer products stay small.
-    chunk = max(1, int(2e6) // (dim * dim * int(graph.k.max())))
-    for a in range(0, n, chunk):
+    # Points in batches, so the per-edge outer products stay small.
+    chunk = max(1, geometry._BATCH_ENTRIES // (dim * dim * int(graph.k.max())))
+
+    def point_batch(a: int) -> None:
         b = min(a + chunk, n)
         lo, hi = starts[a], starts[b]
         src = graph.edge_src[lo:hi]
@@ -181,6 +183,8 @@ def compute_gradient_field(
         shift[a:b] = np.add.reduceat(y, heads, axis=0) / m[a:b, None]
         yc = y - shift[src]
         scatter[a:b] = np.add.reduceat(yc[:, :, None] * yc[:, None, :], heads, axis=0)
+
+    geometry._run_batches(point_batch, n, chunk)
     scale = (d + 2.0) / (radii * radii)
     g = -scale[:, None] * shift
     var_g = (scale * scale / ((m - 1.0) * m))[:, None, None] * scatter

@@ -2,11 +2,14 @@
 
 Each point i gets a neighbourhood Omega_i consisting of the point itself plus
 its k[i]-1 nearest neighbours; k[i] grows from k_min until a likelihood-ratio
-test says the local density stops being constant. The graph stores, per
-directed edge, the overlap count |Omega_i & Omega_j| and the first two
-moments of the shared points' projections on the edge, from which the error
-model downstream correlates the two endpoint estimates. Both stages read the
-run's kNN table (geometry.knn_query_all) rather than querying it.
+test says the local density stops being constant. The graph is one CSR
+edge list (edge_src, edge_dst, rows in point order) and stores, per directed
+edge, the overlap count |Omega_i & Omega_j| and the first two moments of the
+shared points' projections on the edge, from which the error model downstream
+correlates the two endpoint estimates. The overlaps are computed once per
+unordered pair by scipy's sparse row intersection, in batches spread over the
+CPUs (geometry._run_batches). Both stages read the run's kNN table
+(geometry.knn_query_all) rather than querying it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
 
+from . import geometry
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
 
@@ -35,15 +39,14 @@ class NeighborGraph:
     k : ndarray, shape (n,)
         Neighbourhood sizes counting the centre, so k[i]-1 neighbours listed.
     neighbors : list of ndarray
-        neighbors[i] holds the k[i]-1 nearest neighbours of i, nearest first.
+        neighbors[i] holds the k[i]-1 nearest neighbours of i, nearest first;
+        a view into edge_dst.
     radii : ndarray, shape (n,)
         Distance from i to its outermost listed neighbour.
-    overlap : csr_matrix
-        Overlap counts |Omega_i & Omega_j| (centres included) for every pair
-        joined by at least one directed edge, plus the diagonal k[i].
     edge_src, edge_dst : ndarray, shape (E,)
-        All directed edges (i -> j for j in neighbors[i]), flattened in point
-        order then neighbour order.
+        All directed edges (i -> j for j in neighbors[i]), in point order
+        then neighbour order: a CSR edge list whose row i starts at
+        sum(k[:i] - 1).
     edge_overlap : ndarray, shape (E,)
         Overlap count per directed edge, aligned with edge_src/edge_dst.
     edge_shared : ndarray, shape (E,)
@@ -57,7 +60,6 @@ class NeighborGraph:
     k: np.ndarray
     neighbors: list[np.ndarray]
     radii: np.ndarray
-    overlap: sp.csr_matrix
     edge_src: np.ndarray
     edge_dst: np.ndarray
     edge_overlap: np.ndarray
@@ -73,13 +75,9 @@ class NeighborGraph:
         return self.edge_src.shape[0]
 
     def overlap_count(self, i: int, j: int) -> int:
-        """|Omega_i & Omega_j| with centres counted; exact for any pair."""
+        """|Omega_i & Omega_j| with centres counted, from the neighbour lists."""
         if i == j:
             return int(self.k[i])
-        c = self.overlap[i, j]
-        if c != 0:
-            return int(c)
-        # Pair not covered by the edge table: count directly.
         a = set(self.neighbors[i].tolist())
         a.add(i)
         b = set(self.neighbors[j].tolist())
@@ -183,17 +181,21 @@ def build_neighbor_graph(
     if np.any(radii == 0.0):
         raise DataError("zero neighbourhood radius: duplicate points")
 
-    neighbors = [idx[i, : k[i] - 1].copy() for i in range(n)]
+    # One CSR edge list: row i of the table up to column k[i] - 2.
     counts = k - 1
     edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
-    edge_dst = np.concatenate(neighbors) if n else np.empty(0, dtype=np.int64)
+    edge_dst = idx[:, : kmax - 1][np.arange(kmax - 1) < counts[:, None]]
+    neighbors = np.split(edge_dst, np.cumsum(counts)[:-1])
 
-    # Membership matrix: row i flags Omega_i including the centre.
+    # Membership matrix: row i flags Omega_i including the centre, as int8 so
+    # that the row intersections move less data. Canonical (sorted, no
+    # duplicates) before the batches read it from several threads.
     col = np.concatenate([edge_dst, np.arange(n, dtype=np.int64)])
     row = np.concatenate([edge_src, np.arange(n, dtype=np.int64)])
     member = sp.csr_matrix(
-        (np.ones(col.shape[0]), (row, col)), shape=(n, n)
+        (np.ones(col.shape[0], dtype=np.int8), (row, col)), shape=(n, n)
     )
+    member.sum_duplicates()
 
     # Overlap sums once per unordered pair (lo, hi), then scattered onto
     # edges: the count, and sums of x and x x^T over the intersection, in
@@ -215,8 +217,9 @@ def build_neighbor_graph(
     ucount = np.empty(n_pairs, dtype=np.int64)
     ur2 = np.empty(n_pairs)
     moments = np.empty((n_pairs, 2, 2))  # [base lo, base hi] x [sum a, sum a^2]
-    batch = max(1, int(2e6) // max(kmax, features.shape[1]))
-    for s in range(0, n_pairs, batch):
+    batch = max(1, geometry._BATCH_ENTRIES // max(kmax, features.shape[1]))
+
+    def overlap_batch(s: int) -> None:
         e = min(s + batch, n_pairs)
         shared = sp.csr_matrix(member[ulo[s:e]].multiply(member[uhi[s:e]]))
         count = np.diff(shared.indptr)
@@ -232,6 +235,8 @@ def build_neighbor_graph(
             b_r = np.einsum("ed,ed->e", pts[base], r)
             moments[s:e, side, 0] = sign * (p_r - count * b_r)
             moments[s:e, side, 1] = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
+
+    geometry._run_batches(overlap_batch, n_pairs, batch)
     edge_overlap = ucount[inverse]
 
     # Drop the two centres: x_dst adds a = |r|^2, x_src adds a = 0 (and is
@@ -243,21 +248,10 @@ def build_neighbor_graph(
     edge_shared_moments[:, 0] -= r2
     edge_shared_moments[:, 1] -= r2 * r2
 
-    diag = np.arange(n, dtype=np.int64)
-    overlap = sp.csr_matrix(
-        (
-            np.concatenate([ucount, ucount, k]),
-            (np.concatenate([ulo, uhi, diag]), np.concatenate([uhi, ulo, diag])),
-        ),
-        shape=(n, n),
-    )
-    overlap.sum_duplicates()
-
     return NeighborGraph(
         k=k.copy(),
         neighbors=neighbors,
         radii=radii,
-        overlap=overlap,
         edge_src=edge_src,
         edge_dst=edge_dst,
         edge_overlap=edge_overlap,
@@ -267,18 +261,13 @@ def build_neighbor_graph(
 
 
 def jaccard_overlap(graph: NeighborGraph, i: int, j: int) -> float:
-    """Neighbourhood Jaccard index k_ij / (k_i + k_j - k_ij), in [0, 1].
-
-    Pairs without a stored overlap entry count as 0 (distant neighbourhoods).
-    """
+    """Neighbourhood Jaccard index k_ij / (k_i + k_j - k_ij), in [0, 1]."""
     n = graph.n_points
     if not (0 <= i < n and 0 <= j < n):
         raise ParameterError("point index out of range")
     if i == j:
         return 1.0
-    kij = int(graph.overlap[i, j])
-    if kij == 0:
-        return 0.0
+    kij = graph.overlap_count(i, j)
     return kij / float(graph.k[i] + graph.k[j] - kij)
 
 

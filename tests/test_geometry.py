@@ -180,3 +180,39 @@ def test_point_cloud_casts_to_float64():
     cloud = PointCloud(points=[[0, 0], [1, 1], [2, 0]])
     assert cloud.points.dtype == np.float64
     assert cloud.n_points == 3 and cloud.embed_dim == 2
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+
+def test_run_batches_covers_every_start_and_reraises(monkeypatch):
+    monkeypatch.setattr(geometry, "_WORKERS", 3)
+    seen = []
+    geometry._run_batches(seen.append, 10, 3)
+    assert sorted(seen) == [0, 3, 6, 9]
+
+    class BatchFailed(Exception):
+        pass
+
+    def fail_at_six(start):
+        if start == 6:
+            raise BatchFailed(start)
+
+    with pytest.raises(BatchFailed):
+        geometry._run_batches(fail_at_six, 10, 3)
+
+
+def test_run_batches_inline_with_one_cpu_or_one_batch(monkeypatch):
+    monkeypatch.setattr(geometry, "ThreadPoolExecutor", _NoPool)
+    seen = []
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    geometry._run_batches(seen.append, 10, 3)
+    assert seen == [0, 3, 6, 9]
+    monkeypatch.setattr(geometry, "_WORKERS", 4)
+    seen.clear()
+    geometry._run_batches(seen.append, 10, 10)
+    assert seen == [0]
+    with pytest.raises(AssertionError, match="thread pool"):
+        geometry._run_batches(seen.append, 10, 3)

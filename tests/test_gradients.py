@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import adaptive_k, neighbor_graph
 
@@ -20,14 +19,12 @@ from bmti.gradients import (
 from bmti.neighborhoods import NeighborGraph
 
 
-def manual_graph(k, neighbors, radii, n=None):
-    """Graph stub for per-point unit cases; overlap table left empty."""
-    n = len(k) if n is None else n
+def manual_graph(k, neighbors, radii):
+    """Graph stub for per-point unit cases; edge arrays left empty."""
     return NeighborGraph(
         k=np.asarray(k, dtype=np.int64),
         neighbors=[np.asarray(nb, dtype=np.int64) for nb in neighbors],
         radii=np.asarray(radii, dtype=np.float64),
-        overlap=sp.csr_matrix((n, n)),
         edge_src=np.empty(0, dtype=np.int64),
         edge_dst=np.empty(0, dtype=np.int64),
         edge_overlap=np.empty(0, dtype=np.int64),

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import adaptive_k, neighbor_graph
 
+from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud, knn_query_all
 from bmti.neighborhoods import (
@@ -114,6 +115,7 @@ def test_graph_structure_line_points():
     graph = neighbor_graph(cloud, np.array([3, 4, 3, 3, 3, 3]))
     assert graph.neighbors[0].tolist() == [1, 2]
     assert graph.neighbors[1].tolist() == [0, 2, 3]
+    assert np.shares_memory(graph.neighbors[1], graph.edge_dst)
     assert graph.radii[0] == 2.0
     assert graph.radii[1] == 9.0
     assert graph.n_edges == 13  # sum(k - 1)
@@ -124,49 +126,51 @@ def test_graph_structure_line_points():
     assert jaccard_overlap(graph, 0, 3) == 0.0
 
 
-def test_shared_moments_match_set_intersection(rng):
+def graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
+    """The graph at the default batch budget, then in batches of a few pairs
+    on four threads, so that every batch boundary meets the oracle."""
+    graphs = [neighbor_graph(cloud, k)]
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_BATCH_ENTRIES", 64)
+        patch.setattr(geometry, "_WORKERS", 4)
+        graphs.append(neighbor_graph(cloud, k))
+    return graphs
+
+
+def test_shared_moments_match_set_intersection(rng, monkeypatch):
     # Far from the origin, so the moments are not computed in coordinates
     # that happen to be centred already.
     pts = rng.standard_normal((80, 2)) + np.array([40.0, -25.0])
     cloud = PointCloud(points=pts)
     k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    graph = neighbor_graph(cloud, k)
-    sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
-    for e in range(graph.n_edges):
-        i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
-        shared = sorted((sets[i] & sets[j]) - {i, j})
-        assert graph.edge_shared[e] == len(shared)
-        a = (pts[shared] - pts[i]) @ (pts[j] - pts[i])
-        np.testing.assert_allclose(
-            graph.edge_shared_moments[e], [a.sum(), (a * a).sum()],
-            rtol=1e-9, atol=1e-11,
-        )
+    for graph in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
+        sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
+        for e in range(graph.n_edges):
+            i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
+            shared = sorted((sets[i] & sets[j]) - {i, j})
+            assert graph.edge_shared[e] == len(shared)
+            a = (pts[shared] - pts[i]) @ (pts[j] - pts[i])
+            np.testing.assert_allclose(
+                graph.edge_shared_moments[e], [a.sum(), (a * a).sum()],
+                rtol=1e-9, atol=1e-11,
+            )
 
 
-def test_overlap_table_matches_set_intersection(rng):
+def test_overlap_table_matches_set_intersection(rng, monkeypatch):
     pts = rng.standard_normal((80, 2))
     cloud = PointCloud(points=pts)
     k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    graph = neighbor_graph(cloud, k)
-    sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
-    for e in range(graph.n_edges):
-        i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
-        assert graph.edge_overlap[e] == len(sets[i] & sets[j])
-    for i in range(0, 80, 7):
-        for j in range(0, 80, 11):
-            want = len(sets[i] & sets[j])
-            assert graph.overlap_count(i, j) == want
-            # jaccard_overlap reads the stored table only: pairs without an
-            # entry count as distant neighbourhoods.
-            stored = int(graph.overlap[i, j])
-            if i == j:
-                expected = 1.0
-            elif stored == 0:
-                expected = 0.0
-            else:
-                assert stored == want
+    for graph in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
+        sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
+        for e in range(graph.n_edges):
+            i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
+            assert graph.edge_overlap[e] == len(sets[i] & sets[j])
+        for i in range(0, 80, 7):
+            for j in range(0, 80, 11):
+                want = len(sets[i] & sets[j])
+                assert graph.overlap_count(i, j) == want
                 expected = want / (graph.k[i] + graph.k[j] - want)
-            assert jaccard_overlap(graph, i, j) == pytest.approx(expected)
+                assert jaccard_overlap(graph, i, j) == pytest.approx(expected)
 
 
 def test_jaccard_bounds_and_symmetry(rng):
