@@ -28,13 +28,8 @@ from .datasets import (
 from .delta_f import (
     DeltaFEdgeSet,
     PullStats,
-    build_covariance,
     build_delta_f_edges,
     calibration_report,
-    covariance_entry,
-    delta_f_variance,
-    directional_delta_f,
-    estimate_delta_f,
 )
 from .evaluation import (
     EvaluationReport,
@@ -55,26 +50,19 @@ from .exceptions import (
     StateError,
 )
 from .geometry import (
-    NeighborQueryResult,
     PointCloud,
-    knn_query,
     knn_query_all,
     unit_ball_volume,
 )
 from .gradients import (
     GradientField,
     compute_gradient_field,
-    estimate_gradient,
-    gradient_autocovariance,
-    gradient_cross_covariance,
-    sample_mean_shift,
 )
 from .intrinsic_dim import IntrinsicDim, estimate_id_twonn
 from .neighborhoods import (
     NeighborGraph,
     build_neighbor_graph,
     connected_components,
-    jaccard_overlap,
     select_adaptive_k,
 )
 from .pipeline import BmtiConfig, BmtiResult, run_bmti
@@ -106,7 +94,6 @@ __all__ = [
     "IntrinsicDim",
     "LogDensityEstimate",
     "NeighborGraph",
-    "NeighborQueryResult",
     "NumericalError",
     "ParameterError",
     "PointCloud",
@@ -117,29 +104,19 @@ __all__ = [
     "abramson_k",
     "align_and_mae",
     "assemble_system",
-    "build_covariance",
     "build_delta_f_edges",
     "build_neighbor_graph",
     "calibration_report",
     "compute_gradient_field",
     "connected_components",
-    "covariance_entry",
-    "delta_f_variance",
-    "directional_delta_f",
-    "estimate_delta_f",
-    "estimate_gradient",
     "estimate_id_twonn",
     "estimate_uncertainties",
     "generate_dataset",
     "gkde_density",
     "gkde_neg_log_density",
     "glassy_density",
-    "gradient_autocovariance",
-    "gradient_cross_covariance",
-    "jaccard_overlap",
     "knn_anchor",
     "knn_density",
-    "knn_query",
     "knn_query_all",
     "make_potential",
     "mueller_brown",
@@ -148,7 +125,6 @@ __all__ = [
     "run_benchmark",
     "run_bmti",
     "sample_mcmc",
-    "sample_mean_shift",
     "select_adaptive_k",
     "silverman_bandwidth",
     "solve_bmti",

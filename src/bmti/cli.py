@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .baselines import abramson_k, gkde_density, knn_density
-from .datasets import DATASET_DEFAULTS, generate_dataset
+from .datasets import generate_dataset
 from .evaluation import align_and_mae, run_benchmark
 from .exceptions import BmtiError, DataError, ParameterError
 from .geometry import PointCloud, knn_query_all
@@ -143,8 +143,6 @@ def _cmd_estimate(args) -> int:
 
     names = ["F_hat"]
     if args.method == "bmti":
-        if args.uncertainties and args.alpha != 1.0:
-            raise ParameterError("--uncertainties requires alpha = 1")
         cfg = BmtiConfig(
             id_value=args.id, alpha=args.alpha, uncertainties=args.uncertainties
         )

@@ -4,12 +4,12 @@ Each point i gets a neighbourhood Omega_i consisting of the point itself plus
 its k[i]-1 nearest neighbours; k[i] grows from k_min until a likelihood-ratio
 test says the local density stops being constant. The graph is one CSR
 edge list (edge_src, edge_dst, rows in point order) and stores, per directed
-edge, the overlap count |Omega_i & Omega_j| and the first two moments of the
-shared points' projections on the edge, from which the error model downstream
-correlates the two endpoint estimates. The overlaps are computed once per
-unordered pair by scipy's sparse row intersection, in batches spread over the
-CPUs (geometry._run_batches). Both stages read the run's kNN table
-(geometry.knn_query_all) rather than querying it.
+edge, the number of points Omega_i and Omega_j share besides i and j and the
+first two moments of those points' projections on the edge, from which the
+error model downstream correlates the two endpoint estimates. The overlaps
+are computed once per unordered pair by scipy's sparse row intersection, in
+batches spread over the CPUs (geometry._run_batches). Both stages read the
+run's kNN table (geometry.knn_query_all) rather than querying it.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ class NeighborGraph:
         All directed edges (i -> j for j in neighbors[i]), in point order
         then neighbour order: a CSR edge list whose row i starts at
         sum(k[:i] - 1).
-    edge_overlap : ndarray, shape (E,)
-        Overlap count per directed edge, aligned with edge_src/edge_dst.
     edge_shared : ndarray, shape (E,)
         Points shared by Omega_i and Omega_j other than i and j: the overlap
-        count less the two centres when the edge is mutual, less j otherwise.
+        count |Omega_i & Omega_j| less the two centres when the edge is
+        mutual, less j otherwise.
     edge_shared_moments : ndarray, shape (E, 2)
         Sums over those shared points x of a and a^2, with
         a = (x - x_i) . (x_j - x_i) for the edge i -> j.
@@ -62,7 +61,6 @@ class NeighborGraph:
     radii: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_overlap: np.ndarray
     edge_shared: np.ndarray
     edge_shared_moments: np.ndarray
 
@@ -73,16 +71,6 @@ class NeighborGraph:
     @property
     def n_edges(self) -> int:
         return self.edge_src.shape[0]
-
-    def overlap_count(self, i: int, j: int) -> int:
-        """|Omega_i & Omega_j| with centres counted, from the neighbour lists."""
-        if i == j:
-            return int(self.k[i])
-        a = set(self.neighbors[i].tolist())
-        a.add(i)
-        b = set(self.neighbors[j].tolist())
-        b.add(j)
-        return len(a & b)
 
 
 def select_adaptive_k(
@@ -158,8 +146,8 @@ def select_adaptive_k(
 def build_neighbor_graph(
     cloud: PointCloud, k: np.ndarray, idx: np.ndarray, dist: np.ndarray
 ) -> NeighborGraph:
-    """Materialize neighbour lists, radii, overlap counts and shared-point
-    moments for given sizes.
+    """Materialize neighbour lists, radii, and the shared-point counts and
+    moments of every edge for given sizes.
 
     (idx, dist) is the kNN table of the cloud (knn_query_all) with at least
     max(k) - 1 columns; wider tables are read only up to that column.
@@ -237,12 +225,11 @@ def build_neighbor_graph(
             moments[s:e, side, 1] = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
 
     geometry._run_batches(overlap_batch, n_pairs, batch)
-    edge_overlap = ucount[inverse]
 
     # Drop the two centres: x_dst adds a = |r|^2, x_src adds a = 0 (and is
     # shared only on mutual edges).
     mutual = multiplicity[inverse] == 2
-    edge_shared = edge_overlap - 1 - mutual
+    edge_shared = ucount[inverse] - 1 - mutual
     r2 = ur2[inverse]
     edge_shared_moments = moments[inverse, (edge_src != lo).astype(np.int64)]
     edge_shared_moments[:, 0] -= r2
@@ -254,21 +241,9 @@ def build_neighbor_graph(
         radii=radii,
         edge_src=edge_src,
         edge_dst=edge_dst,
-        edge_overlap=edge_overlap,
         edge_shared=edge_shared,
         edge_shared_moments=edge_shared_moments,
     )
-
-
-def jaccard_overlap(graph: NeighborGraph, i: int, j: int) -> float:
-    """Neighbourhood Jaccard index k_ij / (k_i + k_j - k_ij), in [0, 1]."""
-    n = graph.n_points
-    if not (0 <= i < n and 0 <= j < n):
-        raise ParameterError("point index out of range")
-    if i == j:
-        return 1.0
-    kij = graph.overlap_count(i, j)
-    return kij / float(graph.k[i] + graph.k[j] - kij)
 
 
 def edge_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 run_bmti wires the stages together for production use; each stage remains
 available separately for inspection and testing. A run queries one kNN table,
-at the adaptive-k cap, and hands it to TwoNN, adaptive k and the graph.
+at the adaptive-k cap, and hands it to TwoNN, adaptive k and the graph. The
+Laplacian system is assembled once: solve_bmti solves it at alpha = 1, and
+solve_regularized blends it with the kNN anchor below 1.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,8 @@ class BmtiConfig:
     id_value fixes the intrinsic dimension (None estimates it with TwoNN).
     alpha blends the edge likelihood with the pointwise anchor (1 = pure
     edge integration, gauged per component; < 1 adds the anchor and needs
-    no gauge). precision_mode selects the edge weighting of the pure path;
-    blended solves always use the diagonal weighting. uncertainties adds
-    dense per-point variances (small problems only).
+    no gauge). uncertainties adds dense per-point variances (small problems
+    only, alpha = 1 only).
     """
 
     id_value: float | None = None
@@ -53,7 +53,6 @@ class BmtiConfig:
     k_max: int = K_MAX
     lr_threshold: float = LR_THRESHOLD
     alpha: float = 1.0
-    precision_mode: str = "diagonal"
     cg_tol: float = 1e-8
     cg_max_iter: int | None = None
     uncertainties: bool = False
@@ -90,6 +89,8 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
         d = float(cfg.id_value)
         if not np.isfinite(d) or d <= 0.0:
             raise ParameterError(f"id_value must be positive, got {cfg.id_value}")
+    if cfg.uncertainties and cfg.alpha != 1.0:
+        raise ParameterError("uncertainties require alpha = 1")
 
     cap = min(cfg.k_max, cloud.n_points - 1)
     idx, dist = geometry.knn_query_all(cloud, max(1, cap - 1))
@@ -112,17 +113,7 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
 
     if cfg.alpha == 1.0:
-        system = assemble_system(
-            edges, precision_mode=cfg.precision_mode,
-            graph=graph, gradients=gradients, cloud=cloud,
-        )
-        n_comp = int(system.component_labels.max()) + 1
-        if n_comp > 1:
-            warnings.warn(
-                f"neighbourhood graph has {n_comp} components; offsets between "
-                "components are undetermined (consider alpha < 1)",
-                stacklevel=2,
-            )
+        system = assemble_system(edges)
         estimate = solve_bmti(system, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
         if cfg.uncertainties:
             estimate.var_F = estimate_uncertainties(system)

@@ -5,7 +5,9 @@ directed edge (i, j) with difference estimate v and precision w = 1/eps2
 contributes w to both diagonal entries, -w to both off-diagonal entries of A,
 and (+w v, -w v) to (b_j, b_i). A is symmetric positive semidefinite with the
 per-component constant vectors as kernel, so solutions are fixed to zero mean
-per connected component.
+per connected component. solve_bmti is the one solver of that gauged system
+(solve_regularized at alpha = 1 calls it) and the one place that warns when
+the graph has several components.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .delta_f import DeltaFEdgeSet, build_covariance
+from .delta_f import DeltaFEdgeSet
 from .exceptions import (
     CapabilityError,
     ConvergenceError,
@@ -25,7 +27,6 @@ from .exceptions import (
     StateError,
 )
 from .geometry import PointCloud, unit_ball_volume
-from .gradients import GradientField
 from .neighborhoods import NeighborGraph, edge_components
 
 UNCERTAINTY_CAP = 2000
@@ -57,46 +58,13 @@ class LogDensityEstimate:
     residual: float
 
 
-def _edge_weights(
-    edges: DeltaFEdgeSet,
-    precision_mode: str,
-    graph: NeighborGraph | None,
-    gradients: GradientField | None,
-    cloud: PointCloud | None,
-) -> np.ndarray:
-    if precision_mode == "diagonal":
-        return 1.0 / edges.eps2
-    if precision_mode == "optimal_diagonal":
-        if graph is None or gradients is None or cloud is None:
-            raise ParameterError(
-                "optimal_diagonal needs graph, gradients and cloud"
-            )
-        cov = build_covariance(graph, gradients, cloud, edges)
-        diag = cov.diagonal()
-        row_sq = np.asarray(cov.multiply(cov).sum(axis=1)).ravel()
-        if np.any(row_sq <= 0.0):
-            raise NumericalError("zero covariance row in optimal_diagonal mode")
-        return diag / row_sq
-    raise ParameterError(f"unknown precision_mode {precision_mode!r}")
-
-
-def assemble_system(
-    edges: DeltaFEdgeSet,
-    precision_mode: str = "diagonal",
-    graph: NeighborGraph | None = None,
-    gradients: GradientField | None = None,
-    cloud: PointCloud | None = None,
-) -> SolverSystem:
-    """Build the PSD Laplacian system from the edge set.
-
-    precision_mode picks the per-edge weights: "diagonal" uses 1/eps2,
-    "optimal_diagonal" uses the variance-minimizing diagonal surrogate of the
-    full edge covariance (small problems only; needs graph/gradients/cloud).
-    """
+def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
+    """Build the PSD Laplacian system from the edge set, weighting each edge
+    by its precision 1/eps2."""
     if edges.n_edges == 0:
         raise StateError("cannot assemble a system from an empty edge set")
     n = edges.n_points
-    w = _edge_weights(edges, precision_mode, graph, gradients, cloud)
+    w = 1.0 / edges.eps2
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise NumericalError("edge weights must be finite and positive")
     src, dst = edges.src, edges.dst
@@ -191,12 +159,21 @@ def solve_bmti(
 
     The constant vector per connected component spans the kernel of A, so
     iterates are kept mean-zero per component (the gauge): returned F has
-    zero mean over each component. Relative residual ||A F - b|| / ||b||
-    must reach tol within max_iter (default 10 n) iterations.
+    zero mean over each component, and a graph of several components warns
+    that their relative offsets are undetermined. Relative residual
+    ||A F - b|| / ||b|| must reach tol within max_iter (default 10 n)
+    iterations.
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
     n = system.n_points
+    n_comp = int(system.component_labels.max()) + 1
+    if n_comp > 1:
+        warnings.warn(
+            f"neighbourhood graph has {n_comp} components; offsets between "
+            "components are undetermined (consider alpha < 1)",
+            stacklevel=2,
+        )
     if max_iter is None:
         max_iter = 10 * n
     F, it, res = _pcg(system.A, system.b, tol, max_iter, system.component_labels)
@@ -252,8 +229,8 @@ def solve_regularized(
     """Blend the edge-difference likelihood with a pointwise anchor.
 
     Solves (alpha A + (1-alpha) diag(h)) F = alpha b + (1-alpha) h F0.
-    alpha = 1 reproduces solve_bmti (gauge per component, with a warning if
-    the graph is disconnected); alpha = 0 returns the anchor exactly. For
+    alpha = 1 is solve_bmti (gauge per component, with a warning if the
+    graph is disconnected); alpha = 0 returns the anchor exactly. For
     0 < alpha < 1 the system is positive definite, needs no gauge, and the
     anchor supplies absolute normalization across components.
     """
@@ -275,13 +252,6 @@ def solve_regularized(
 
     system = assemble_system(edges)
     if alpha == 1.0:
-        n_comp = int(system.component_labels.max()) + 1
-        if n_comp > 1:
-            warnings.warn(
-                f"graph has {n_comp} components; solving with a per-component "
-                "gauge (relative offsets between components are undetermined)",
-                stacklevel=2,
-            )
         return solve_bmti(system, tol=tol, max_iter=max_iter)
 
     M = (alpha * system.A + sp.diags((1.0 - alpha) * h)).tocsr()

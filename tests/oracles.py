@@ -1,0 +1,209 @@
+"""Scalar references for the vectorized stage kernels.
+
+Each function computes, for one point or one edge, straight from the
+definitions and the neighbour lists, an entry of what build_neighbor_graph,
+compute_gradient_field or build_delta_f_edges compute for all of them at
+once. The tests compare the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from bmti.delta_f import _QFORM_RTOL, EPS2_MIN
+from bmti.exceptions import DataError, ParameterError
+from bmti.geometry import PointCloud
+from bmti.gradients import GradientField
+from bmti.neighborhoods import NeighborGraph
+
+
+# Neighbourhood overlaps.
+
+
+def overlap_count(graph: NeighborGraph, i: int, j: int) -> int:
+    """|Omega_i & Omega_j| with centres counted, from the neighbour lists."""
+    if i == j:
+        return int(graph.k[i])
+    a = set(graph.neighbors[i].tolist())
+    a.add(i)
+    b = set(graph.neighbors[j].tolist())
+    b.add(j)
+    return len(a & b)
+
+
+def jaccard_overlap(graph: NeighborGraph, i: int, j: int) -> float:
+    """Neighbourhood Jaccard index k_ij / (k_i + k_j - k_ij), in [0, 1]."""
+    n = graph.n_points
+    if not (0 <= i < n and 0 <= j < n):
+        raise ParameterError("point index out of range")
+    if i == j:
+        return 1.0
+    kij = overlap_count(graph, i, j)
+    return kij / float(graph.k[i] + graph.k[j] - kij)
+
+
+# Mean shifts, gradients and their covariances.
+
+
+def _check_point(graph: NeighborGraph, i: int) -> None:
+    if not 0 <= i < graph.n_points:
+        raise ParameterError(f"point index {i} out of range")
+
+
+def sample_mean_shift(graph: NeighborGraph, cloud: PointCloud, i: int) -> np.ndarray:
+    """Average displacement from point i to its listed neighbours."""
+    _check_point(graph, i)
+    nb = graph.neighbors[i]
+    return (cloud.points[nb] - cloud.points[i]).mean(axis=0)
+
+
+def estimate_gradient(
+    graph: NeighborGraph, cloud: PointCloud, d: float, i: int
+) -> np.ndarray:
+    """Gradient of F at point i: -(d+2)/r^2 times the mean shift."""
+    _check_point(graph, i)
+    r = graph.radii[i]
+    if r <= 0.0:
+        raise DataError(f"point {i} has zero neighbourhood radius")
+    return -(d + 2.0) / (r * r) * sample_mean_shift(graph, cloud, i)
+
+
+def gradient_autocovariance(
+    graph: NeighborGraph, cloud: PointCloud, d: float, i: int
+) -> np.ndarray:
+    """Covariance estimate of the gradient at point i.
+
+    With m = k_i - 1 neighbour shifts y_j and their mean m_hat,
+
+        var[g_i] = ((d+2)/r^2)^2 * 1/(k_i-2) * [sum y y^T / m - m_hat m_hat^T],
+
+    the bracket being the (biased) sample covariance of the shifts and the
+    1/(k_i-2) Bessel-style factor accounting for the estimated mean. Needs
+    k_i >= 4. The result is symmetric positive semidefinite.
+    """
+    _check_point(graph, i)
+    k = int(graph.k[i])
+    if k < 4:
+        raise ParameterError(f"autocovariance needs k >= 4, point {i} has k = {k}")
+    r = graph.radii[i]
+    if r <= 0.0:
+        raise DataError(f"point {i} has zero neighbourhood radius")
+    y = cloud.points[graph.neighbors[i]] - cloud.points[i]
+    m_hat = y.mean(axis=0)
+    yc = y - m_hat
+    bracket = yc.T @ yc / (k - 1)
+    pref = ((d + 2.0) / (r * r)) ** 2 / (k - 2)
+    cov = pref * bracket
+    return 0.5 * (cov + cov.T)
+
+
+def shift_cross_covariance(
+    graph: NeighborGraph, cloud: PointCloud, i: int, j: int
+) -> np.ndarray:
+    """Covariance between the mean shifts at points i and j.
+
+    Points common to Omega_i and Omega_j correlate the two means. Treating
+    the sample as a Poisson process and linearizing each mean in its terms,
+    every shared point contributes the product of its two centred shifts:
+    with S the shared points (the two centres excluded) and m_hat the two
+    mean shifts,
+
+        cov[m_i, m_j] = 1/((k_i-1)(k_j-1))
+                        * sum_S (x - x_i - m_hat_i)(x - x_j - m_hat_j)^T.
+
+    Returns the zero matrix when the neighbourhoods share no points. For
+    i = j this is the shift autocovariance without its Bessel factor.
+    """
+    _check_point(graph, i)
+    _check_point(graph, j)
+    dim = cloud.embed_dim
+    omega_i = set(graph.neighbors[i].tolist()) | {i}
+    omega_j = set(graph.neighbors[j].tolist()) | {j}
+    shared = np.array(sorted((omega_i & omega_j) - {i, j}), dtype=np.int64)
+    if shared.size == 0:
+        return np.zeros((dim, dim))
+    yi = cloud.points[shared] - cloud.points[i] - sample_mean_shift(graph, cloud, i)
+    yj = cloud.points[shared] - cloud.points[j] - sample_mean_shift(graph, cloud, j)
+    return yi.T @ yj / float((graph.k[i] - 1) * (graph.k[j] - 1))
+
+
+def gradient_cross_covariance(
+    graph: NeighborGraph, cloud: PointCloud, d: float, i: int, j: int
+) -> np.ndarray:
+    """Covariance between the gradient estimates at points i and j:
+    (d+2)^2/(r_i^2 r_j^2) times the shift covariance."""
+    ri, rj = graph.radii[i], graph.radii[j]
+    if ri <= 0.0 or rj <= 0.0:
+        raise DataError("zero neighbourhood radius")
+    cov_m = shift_cross_covariance(graph, cloud, i, j)
+    return (d + 2.0) ** 2 / (ri * ri * rj * rj) * cov_m
+
+
+# Edge differences and their error bars.
+
+
+def estimate_delta_f(
+    gradients: GradientField, cloud: PointCloud, i: int, j: int
+) -> float:
+    """Midpoint estimate of F_j - F_i: average endpoint gradient dotted with
+    the displacement x_j - x_i. Antisymmetric in (i, j) by construction."""
+    r = cloud.points[j] - cloud.points[i]
+    return float(0.5 * (gradients.g[i] + gradients.g[j]) @ r)
+
+
+def directional_delta_f(
+    gradients: GradientField, cloud: PointCloud, i: int, j: int, which: int
+) -> tuple[float, float]:
+    """One-endpoint estimate of F_j - F_i using only the gradient at `which`.
+
+    Returns (value, std) where value = g_w . (x_j - x_i) and
+    std = sqrt((x_j - x_i)^T var[g_w] (x_j - x_i)).
+    """
+    if which not in (i, j):
+        raise ParameterError(f"which = {which} must be one of the endpoints {i}, {j}")
+    r = cloud.points[j] - cloud.points[i]
+    value = float(gradients.g[which] @ r)
+    q = float(r @ gradients.var_g[which] @ r)
+    scale = float(np.trace(gradients.var_g[which])) * float(r @ r)
+    if q < -_QFORM_RTOL * max(scale, 1.0):
+        raise DataError(f"covariance of point {which} is not PSD along the edge")
+    return value, float(np.sqrt(max(q, 0.0)))
+
+
+def edge_correlation(
+    graph: NeighborGraph,
+    gradients: GradientField,
+    cloud: PointCloud,
+    i: int,
+    j: int,
+) -> float:
+    """Model correlation between the two directional estimates of edge (i, j).
+
+    p = r^T cov[m_i, m_j] r / sqrt(r^T var[m_i] r * r^T var[m_j] r), with
+    r = x_j - x_i. Zero when either projected variance vanishes (and when
+    the neighbourhoods share no points); clipped to [-1, 1] against roundoff.
+    """
+    r = cloud.points[j] - cloud.points[i]
+    var_i = gradients.var_g[i] / gradients.scale[i] ** 2
+    var_j = gradients.var_g[j] / gradients.scale[j] ** 2
+    cov = float(r @ shift_cross_covariance(graph, cloud, i, j) @ r)
+    den = float(r @ var_i @ r) * float(r @ var_j @ r)
+    if den <= 0.0:
+        return 0.0
+    return float(np.clip(cov / np.sqrt(den), -1.0, 1.0))
+
+
+def delta_f_variance(
+    eps_i: float,
+    eps_j: float,
+    pearson: float,
+    eps2_min: float = EPS2_MIN,
+) -> float:
+    """Variance of the midpoint estimate from its two directional halves:
+    (eps_i^2 + eps_j^2 + 2 p eps_i eps_j) / 4, floored at eps2_min."""
+    if not -1.0 <= pearson <= 1.0:
+        raise ParameterError(f"pearson must be in [-1, 1], got {pearson}")
+    if eps_i < 0.0 or eps_j < 0.0:
+        raise ParameterError("directional standard deviations must be >= 0")
+    eps2 = 0.25 * (eps_i * eps_i + eps_j * eps_j + 2.0 * pearson * eps_i * eps_j)
+    return max(eps2, eps2_min)

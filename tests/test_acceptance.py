@@ -13,14 +13,15 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import adaptive_k, neighbor_graph, record_criterion, twonn
+from oracles import jaccard_overlap
 
 from bmti.baselines import abramson_k, gkde_density, knn_density
 from bmti.datasets import generate_dataset, make_potential, sample_mcmc
-from bmti.delta_f import EPS2_MIN, DeltaFEdgeSet, build_delta_f_edges, calibration_report
+from bmti.delta_f import DeltaFEdgeSet, build_delta_f_edges, calibration_report
 from bmti.evaluation import align_and_mae
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
-from bmti.neighborhoods import connected_components, jaccard_overlap
+from bmti.neighborhoods import connected_components
 from bmti.pipeline import BmtiConfig, run_bmti
 from bmti.solver import (
     assemble_system,
@@ -320,9 +321,8 @@ def _random_edge_instance(rng, n):
     e = src_m.shape[0]
     return DeltaFEdgeSet(
         src=src_m, dst=dst_m, delta_f=delta_m, eps2=eps2_m,
-        dir_src=np.zeros(e), dir_dst=np.zeros(e),
         eps_src=np.zeros(e), eps_dst=np.zeros(e),
-        pearson=np.zeros(e), n_points=n, eps2_min=EPS2_MIN,
+        pearson=np.zeros(e), n_points=n,
     )
 
 
@@ -364,9 +364,8 @@ def test_criterion_4_solver_oracle_equivalence():
         e = DeltaFEdgeSet(
             src=np.array([0, 1]), dst=np.array([1, 0]),
             delta_f=np.array([3.0, -3.0]), eps2=np.array([eps2, eps2]),
-            dir_src=np.zeros(2), dir_dst=np.zeros(2),
             eps_src=np.zeros(2), eps_dst=np.zeros(2),
-            pearson=np.zeros(2), n_points=2, eps2_min=EPS2_MIN,
+            pearson=np.zeros(2), n_points=2,
         )
         var = estimate_uncertainties(assemble_system(e))
         if not np.allclose(var, eps2 / 8.0, rtol=5e-16, atol=0.0):
@@ -404,9 +403,8 @@ def test_criterion_5_consistent_path_exactness():
             src=graph.edge_src, dst=graph.edge_dst,
             delta_f=truth[graph.edge_dst] - truth[graph.edge_src],
             eps2=rng.uniform(0.1, 2.0, size=e),
-            dir_src=np.zeros(e), dir_dst=np.zeros(e),
             eps_src=np.zeros(e), eps_dst=np.zeros(e),
-            pearson=np.zeros(e), n_points=n, eps2_min=EPS2_MIN,
+            pearson=np.zeros(e), n_points=n,
         )
         system = assemble_system(edges)
         estimate = solve_bmti(system, tol=1e-13)

@@ -1,4 +1,4 @@
-"""Per-edge difference estimates, error bars, and their covariances."""
+"""Per-edge difference estimates and their error bars."""
 
 from __future__ import annotations
 
@@ -7,19 +7,15 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import neighbor_graph
-
-from bmti.delta_f import (
-    EPS2_MIN,
-    build_covariance,
-    build_delta_f_edges,
-    calibration_report,
-    covariance_entry,
+from oracles import (
     delta_f_variance,
     directional_delta_f,
     edge_correlation,
     estimate_delta_f,
 )
-from bmti.exceptions import CapabilityError, DataError, ParameterError
+
+from bmti.delta_f import EPS2_MIN, build_delta_f_edges, calibration_report
+from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import GradientField, compute_gradient_field
 
@@ -122,7 +118,10 @@ def test_variance_ignores_estimate_signs(rng):
     np.testing.assert_array_equal(b.delta_f, -a.delta_f)
     np.testing.assert_array_equal(b.pearson, a.pearson)
     np.testing.assert_array_equal(b.eps2, a.eps2)
-    assert (a.dir_src * a.dir_dst < 0.0).any() and (a.pearson > 0.0).any()
+    r = cloud.points[a.dst] - cloud.points[a.src]
+    dir_src = np.einsum("ed,ed->e", field.g[a.src], r)
+    dir_dst = np.einsum("ed,ed->e", field.g[a.dst], r)
+    assert (dir_src * dir_dst < 0.0).any() and (a.pearson > 0.0).any()
 
 
 def test_variance_guards():
@@ -142,10 +141,8 @@ def test_edge_set_matches_scalar_operations(rng):
         assert edges.delta_f[e] == pytest.approx(
             estimate_delta_f(field, cloud, i, j), rel=1e-12, abs=1e-14
         )
-        di, ei = directional_delta_f(field, cloud, i, j, i)
-        dj, ej = directional_delta_f(field, cloud, i, j, j)
-        assert edges.dir_src[e] == pytest.approx(di, rel=1e-12)
-        assert edges.dir_dst[e] == pytest.approx(dj, rel=1e-12)
+        _, ei = directional_delta_f(field, cloud, i, j, i)
+        _, ej = directional_delta_f(field, cloud, i, j, j)
         assert edges.eps_src[e] == pytest.approx(ei, rel=1e-12)
         assert edges.eps_dst[e] == pytest.approx(ej, rel=1e-12)
         p = edge_correlation(graph, field, cloud, i, j)
@@ -186,116 +183,17 @@ def test_twin_square_edge_correlation_from_shared_points():
     edges = build_delta_f_edges(graph, field, cloud)
     e = 0  # first listed edge is 0 -> 1
     assert (int(edges.src[e]), int(edges.dst[e])) == (0, 1)
-    assert edges.dir_src[e] == pytest.approx(-4.0 / 3.0, rel=1e-14)
-    assert edges.dir_dst[e] == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert directional_delta_f(field, cloud, 0, 1, 0)[0] == pytest.approx(
+        -4.0 / 3.0, rel=1e-14
+    )
+    assert directional_delta_f(field, cloud, 0, 1, 1)[0] == pytest.approx(
+        4.0 / 3.0, rel=1e-14
+    )
     assert edges.eps_src[e] == pytest.approx(2.0 / 3.0, rel=1e-13)
     assert edges.eps_dst[e] == pytest.approx(2.0 / 3.0, rel=1e-13)
     assert edges.pearson[e] == pytest.approx(4.0 / 9.0, rel=1e-12)
     assert edges.eps2[e] == pytest.approx(26.0 / 81.0, rel=1e-12)
     assert edges.delta_f[e] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_covariance_entry_diagonal_is_unfloored_eps2(rng):
-    cloud, graph, field = pipeline_stages(rng, n=80, k=8)
-    edges = build_delta_f_edges(graph, field, cloud)
-    for e in (0, 17, 200):
-        i, j = int(edges.src[e]), int(edges.dst[e])
-        want = 0.25 * (
-            edges.eps_src[e] ** 2
-            + edges.eps_dst[e] ** 2
-            + 2.0 * edges.pearson[e] * edges.eps_src[e] * edges.eps_dst[e]
-        )
-        got = covariance_entry(graph, field, cloud, (i, j), (i, j))
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
-
-
-def test_covariance_entry_disjoint_edges(rng):
-    a = rng.standard_normal((40, 2))
-    b = rng.standard_normal((40, 2)) + 500.0
-    cloud = PointCloud(points=np.vstack([a, b]))
-    graph = neighbor_graph(cloud, np.full(80, 6))
-    field = compute_gradient_field(graph, cloud, 2.0)
-    i, j = 0, int(graph.neighbors[0][0])
-    l, m = 50, int(graph.neighbors[50][0])
-    assert covariance_entry(graph, field, cloud, (i, j), (l, m)) == 0.0
-
-
-def test_covariance_entry_hand_instance():
-    # Unit square plus helper: all four neighbourhoods coincide and every
-    # directional spread along x is 2/3. For the parallel edges (0, 1) and
-    # (2, 3), each pairing shares the two other square points; their
-    # centred shifts give correlations 2/9 for (0, 2) and (1, 3) and 4/9 for
-    # (0, 3) and (1, 2), so C = (4/9) (2/9 + 4/9 + 4/9 + 2/9) / 4 = 4/27.
-    pts = np.array(
-        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [50.0, 50.0]]
-    )
-    cloud = PointCloud(points=pts)
-    graph = neighbor_graph(cloud, np.full(5, 4))
-    field = compute_gradient_field(graph, cloud, 2.0)
-    got = covariance_entry(graph, field, cloud, (0, 1), (2, 3))
-    assert got == pytest.approx(4.0 / 27.0, rel=1e-12)
-
-    # Asymmetric instance checked against an independent scalar evaluation.
-    pts2 = np.array(
-        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [0.0, -1.0]]
-    )
-    cloud2 = PointCloud(points=pts2)
-    graph2 = neighbor_graph(cloud2, np.full(5, 4))
-    field2 = compute_gradient_field(graph2, cloud2, 2.0)
-    members = [graph2.neighbors[i].tolist() for i in range(5)]
-
-    def centred(w):
-        y = pts2[members[w]] - pts2[w]
-        return {x: y[t] - y.mean(axis=0) for t, x in enumerate(members[w])}
-
-    def ref_entry(edge_a, edge_b):
-        r_a = pts2[edge_a[1]] - pts2[edge_a[0]]
-        r_b = pts2[edge_b[1]] - pts2[edge_b[0]]
-        total = 0.0
-        for w in edge_a:
-            cw = centred(w)
-            var_w = sum(float(c @ r_a) ** 2 for c in cw.values()) / 6.0
-            ew = 4.0 / graph2.radii[w] ** 2 * np.sqrt(var_w)
-            for v in edge_b:
-                cv = centred(v)
-                var_v = sum(float(c @ r_b) ** 2 for c in cv.values()) / 6.0
-                ev = 4.0 / graph2.radii[v] ** 2 * np.sqrt(var_v)
-                if w == v:
-                    cov = sum(float(c @ r_a) * float(c @ r_b) for c in cw.values()) / 6.0
-                else:
-                    shared = (set(cw) & set(cv)) - {w, v}
-                    cov = sum(float(cw[x] @ r_a) * float(cv[x] @ r_b) for x in shared) / 9.0
-                total += cov / np.sqrt(var_w * var_v) * ew * ev
-        return 0.25 * total
-
-    for pair in [((0, 1), (2, 3)), ((0, 1), (0, 2)), ((1, 3), (2, 3))]:
-        got = covariance_entry(graph2, field2, cloud2, *pair)
-        assert got == pytest.approx(ref_entry(*pair), rel=1e-12, abs=1e-14)
-
-
-def test_build_covariance_consistency(rng):
-    cloud, graph, field = pipeline_stages(rng, n=60, k=7)
-    edges = build_delta_f_edges(graph, field, cloud)
-    cov = build_covariance(graph, field, cloud, edges)
-    assert cov.shape == (edges.n_edges, edges.n_edges)
-    dense = cov.toarray()
-    np.testing.assert_allclose(dense, dense.T, atol=1e-12)
-    for e in (0, 5, 44):
-        i, j = int(edges.src[e]), int(edges.dst[e])
-        want = covariance_entry(graph, field, cloud, (i, j), (i, j))
-        assert dense[e, e] == pytest.approx(want, rel=1e-12)
-    # Off-diagonal pairs, including ones whose pairings partly or wholly
-    # have disjoint neighbourhoods.
-    for a, b in [(0, 33), *rng.integers(0, edges.n_edges, size=(40, 2))]:
-        pair = (
-            (int(edges.src[a]), int(edges.dst[a])),
-            (int(edges.src[b]), int(edges.dst[b])),
-        )
-        assert dense[a, b] == pytest.approx(
-            covariance_entry(graph, field, cloud, *pair), rel=1e-10, abs=1e-14
-        )
-    with pytest.raises(CapabilityError):
-        build_covariance(graph, field, cloud, edges, max_entries=10)
 
 
 def test_calibration_exact_estimates_give_zero_pulls(rng):

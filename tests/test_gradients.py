@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import adaptive_k, neighbor_graph
-
-from bmti.exceptions import ParameterError
-from bmti.geometry import PointCloud
-from bmti.gradients import (
-    compute_gradient_field,
+from oracles import (
     estimate_gradient,
     gradient_autocovariance,
     gradient_cross_covariance,
     sample_mean_shift,
 )
+
+from bmti.exceptions import ParameterError
+from bmti.geometry import PointCloud
+from bmti.gradients import compute_gradient_field
 from bmti.neighborhoods import NeighborGraph
 
 
@@ -27,7 +27,6 @@ def manual_graph(k, neighbors, radii):
         radii=np.asarray(radii, dtype=np.float64),
         edge_src=np.empty(0, dtype=np.int64),
         edge_dst=np.empty(0, dtype=np.int64),
-        edge_overlap=np.empty(0, dtype=np.int64),
         edge_shared=np.empty(0, dtype=np.int64),
         edge_shared_moments=np.empty((0, 2)),
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import adaptive_k, neighbor_graph
+from oracles import jaccard_overlap, overlap_count
 
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
@@ -13,7 +14,6 @@ from bmti.geometry import PointCloud, knn_query_all
 from bmti.neighborhoods import (
     build_neighbor_graph,
     connected_components,
-    jaccard_overlap,
     select_adaptive_k,
 )
 
@@ -119,8 +119,8 @@ def test_graph_structure_line_points():
     assert graph.radii[0] == 2.0
     assert graph.radii[1] == 9.0
     assert graph.n_edges == 13  # sum(k - 1)
-    assert graph.overlap_count(0, 1) == 3
-    assert graph.overlap_count(0, 3) == 0
+    assert overlap_count(graph, 0, 1) == 3
+    assert overlap_count(graph, 0, 3) == 0
     assert jaccard_overlap(graph, 0, 1) == pytest.approx(3.0 / 4.0)
     assert jaccard_overlap(graph, 0, 0) == 1.0
     assert jaccard_overlap(graph, 0, 3) == 0.0
@@ -164,11 +164,12 @@ def test_overlap_table_matches_set_intersection(rng, monkeypatch):
         sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
         for e in range(graph.n_edges):
             i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
-            assert graph.edge_overlap[e] == len(sets[i] & sets[j])
+            mutual = i in sets[j]
+            assert graph.edge_shared[e] + 1 + mutual == len(sets[i] & sets[j])
         for i in range(0, 80, 7):
             for j in range(0, 80, 11):
                 want = len(sets[i] & sets[j])
-                assert graph.overlap_count(i, j) == want
+                assert overlap_count(graph, i, j) == want
                 expected = want / (graph.k[i] + graph.k[j] - want)
                 assert jaccard_overlap(graph, i, j) == pytest.approx(expected)
 

@@ -28,8 +28,6 @@ def edge_set(src, dst, delta_f, eps2, n):
         dst=np.asarray(dst, dtype=np.int64),
         delta_f=np.asarray(delta_f, dtype=np.float64),
         eps2=np.asarray(eps2, dtype=np.float64),
-        dir_src=np.zeros(e),
-        dir_dst=np.zeros(e),
         eps_src=np.zeros(e),
         eps_dst=np.zeros(e),
         pearson=np.zeros(e),
