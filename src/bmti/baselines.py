@@ -28,20 +28,30 @@ def abramson_k(n: int, embed_dim: int, k_min: int = 4) -> int:
     return int(np.clip(k, k_min, n - 1))
 
 
-def knn_density(cloud: PointCloud, d: float, k: int) -> BaselineEstimate:
+def knn_density(
+    cloud: PointCloud, d: float, k: int, dist: np.ndarray | None = None
+) -> BaselineEstimate:
     """kNN estimate of F = -log(rho): F_i = -log(k / (n omega_d r_k^d)).
 
     d sets the dimension of the ball volumes (pass the intrinsic dimension
     for manifold data, or the embedding dimension for the naive variant);
-    r_k is the distance to the k-th nearest neighbour.
+    r_k is the distance to the k-th nearest neighbour. dist is the cloud's
+    kNN distance table (knn_query_all) with at least k columns, of which
+    column k-1 is read; without it the table is queried at k.
     """
     n = cloud.n_points
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
     if not np.isfinite(d) or d <= 0:
         raise ParameterError(f"dimension must be positive, got {d}")
-    _, dist = knn_query_all(cloud, k)
-    r = dist[:, -1]
+    if dist is None:
+        _, dist = knn_query_all(cloud, k)
+    elif dist.ndim != 2 or dist.shape[0] != n or dist.shape[1] < k:
+        raise ParameterError(
+            f"kNN table of shape {dist.shape} does not cover {n} points "
+            f"with {k} neighbours each"
+        )
+    r = dist[:, k - 1]
     if np.any(r == 0.0):
         raise DataError("zero k-th neighbour distance: duplicate points")
     F = np.log(float(n)) + np.log(unit_ball_volume(d)) + d * np.log(r) - np.log(float(k))

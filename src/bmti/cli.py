@@ -8,7 +8,6 @@ sigma_F and k_i columns in input row order.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -23,6 +22,8 @@ from .intrinsic_dim import estimate_id_twonn
 from .pipeline import BmtiConfig, run_bmti
 
 _FLOAT_FMT = "%.17g"
+# Edges formatted and written at a time by --dump-edges.
+_DUMP_ROWS = 1 << 16
 
 
 def read_cloud_csv(path) -> PointCloud:
@@ -106,19 +107,16 @@ def _cmd_generate(args) -> int:
 
 
 def _dump_edges(edges, path) -> None:
+    """Write one CSV row per edge, in the bytes of csv.writer's default
+    dialect (CRLF line ends) with _FLOAT_FMT cells. Rows are formatted in
+    chunks of _DUMP_ROWS by one string-format map each."""
+    line = f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\r\n"
+    cols = (edges.src, edges.dst, edges.delta_f, edges.eps2, edges.pearson)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "delta_f", "eps2", "pearson"])
-        for a in range(edges.n_edges):
-            writer.writerow(
-                [
-                    int(edges.src[a]),
-                    int(edges.dst[a]),
-                    _FLOAT_FMT % edges.delta_f[a],
-                    _FLOAT_FMT % edges.eps2[a],
-                    _FLOAT_FMT % edges.pearson[a],
-                ]
-            )
+        fh.write("i,j,delta_f,eps2,pearson\r\n")
+        for lo in range(0, edges.n_edges, _DUMP_ROWS):
+            rows = zip(*(c[lo : lo + _DUMP_ROWS].tolist() for c in cols))
+            fh.write("".join(map(line.__mod__, rows)))
 
 
 def _dump_gradients(gradients, path) -> None:
@@ -159,17 +157,19 @@ def _cmd_estimate(args) -> int:
             _dump_gradients(result.gradients, args.dump_gradients)
         d_used = result.d_used
     elif args.method == "knn":
+        k = args.k if args.k is not None else abramson_k(
+            cloud.n_points, cloud.embed_dim
+        )
+        dist = None
         if args.id is not None:
             d_used = args.id
         elif args.volume_dim == "embed":
             d_used = float(cloud.embed_dim)
         else:
-            _, dist = knn_query_all(cloud, 2)
+            # One table for TwoNN (two columns) and the baseline (k).
+            _, dist = knn_query_all(cloud, max(k, 2))
             d_used = estimate_id_twonn(dist, cloud.embed_dim).d
-        k = args.k if args.k is not None else abramson_k(
-            cloud.n_points, cloud.embed_dim
-        )
-        cols = [knn_density(cloud, d_used, k).F]
+        cols = [knn_density(cloud, d_used, k, dist).F]
     else:
         est = gkde_density(cloud, bandwidth=args.bandwidth)
         cols = [est.F]

@@ -142,19 +142,20 @@ def _estimate_cell(
         return result.F, result.d_used, pull.mean, pull.std
     if method == "knn":
         volume_dim = params.get("volume_dim", "embed")
+        k = params.get("k")
+        k = abramson_k(cloud.n_points, cloud.embed_dim) if k is None else int(k)
+        dist = None
         if volume_dim == "embed":
             d = float(cloud.embed_dim)
         elif volume_dim == "id":
-            _, dist = knn_query_all(cloud, 2)
+            # One table for TwoNN (two columns) and the baseline (k).
+            _, dist = knn_query_all(cloud, max(k, 2))
             d = estimate_id_twonn(dist, cloud.embed_dim).d
         else:
             raise ParameterError(
                 f"volume_dim must be 'id' or 'embed', got {volume_dim!r}"
             )
-        k = params.get("k")
-        if k is None:
-            k = abramson_k(cloud.n_points, cloud.embed_dim)
-        est = knn_density(cloud, d, int(k))
+        est = knn_density(cloud, d, k, dist)
         return est.F, d, None, None
     if method == "gkde":
         est = gkde_density(cloud, bandwidth=params.get("bandwidth"))

@@ -5,10 +5,11 @@ embedding dimensions and an exhaustive scan covers high ones, and both paths
 recompute distances with the same numpy expression and order candidates by
 (distance, index), so results are identical and ties are deterministic.
 
-`knn_query_all` builds the one kNN table of a run: `run_bmti` queries it
-once, at the adaptive-k cap, and hands its columns to TwoNN, adaptive k and
-the neighbour graph. `knn_query` answers for one point and serves as the
-per-point reference.
+`knn_query_all` builds the one kNN table of a run, for every point or for
+a subset of rows: `run_bmti` queries every point at a start width, and
+adaptive k widens to the cap only the rows its test is about to read past
+(see `neighborhoods.select_adaptive_k`). `knn_query` answers for one point
+and serves as the per-point reference.
 
 The k-d tree query runs on every CPU. The per-batch kernels of the graph,
 gradient and edge stages do too, through `_run_batches`: one thread per CPU
@@ -178,36 +179,47 @@ def knn_query(cloud: PointCloud, i: int, k: int) -> NeighborQueryResult:
     return NeighborQueryResult(indices=idx, distances=dist)
 
 
-def knn_query_all(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact k nearest neighbours of every point at once.
+def knn_query_all(
+    cloud: PointCloud, k: int, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact k nearest neighbours of every point, or of the points in rows.
 
-    Returns (indices, distances), each of shape (n, k), rows sorted nearest
-    first with ties broken by index. Same results as per-point knn_query.
-    Rows are processed in chunks that bound the workspace. On the tree path
-    a row whose tree order is already canonical (self first, then strictly
-    increasing distance or equal distance with increasing index) is copied
-    as is; only rows with ties or duplicate points go through knn_query's
-    per-point path.
+    Returns (indices, distances), each of shape (len(rows), k) (n rows when
+    rows is None), rows sorted nearest first with ties broken by index. Same
+    results as per-point knn_query, so a row does not depend on which other
+    rows are queried with it. Rows are processed in chunks that bound the
+    workspace. On the tree path a row whose tree order is already canonical
+    (self first, then strictly increasing distance or equal distance with
+    increasing index) is copied as is; only rows with ties or duplicate
+    points go through knn_query's per-point path.
     """
     n = cloud.n_points
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
+    if rows is None:
+        rows = np.arange(n)
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or np.any((rows < 0) | (rows >= n)):
+            raise ParameterError(f"rows must be a 1-d array of indices in [0, {n})")
     pts = cloud.points
     tree = cloud._tree
-    out_idx = np.empty((n, k), dtype=np.int64)
-    out_dist = np.empty((n, k), dtype=np.float64)
+    n_rows = rows.shape[0]
+    out_idx = np.empty((n_rows, k), dtype=np.int64)
+    out_dist = np.empty((n_rows, k), dtype=np.float64)
     if tree is not None:
         m = min(k + 1 + _TIE_PAD, n)
         chunk = max(1, _CHUNK_ENTRIES // (m * cloud.embed_dim))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            _, cand = tree.query(pts[lo:hi], k=m, workers=-1)
-            dist = np.sqrt(((pts[cand] - pts[lo:hi, None, :]) ** 2).sum(axis=2))
+        for lo in range(0, n_rows, chunk):
+            hi = min(lo + chunk, n_rows)
+            sel = rows[lo:hi]
+            _, cand = tree.query(pts[sel], k=m, workers=-1)
+            dist = np.sqrt(((pts[cand] - pts[sel][:, None, :]) ** 2).sum(axis=2))
             c, d = cand[:, 1:], dist[:, 1:]
             # Rows whose tree order is canonical and whose k-th distance is
             # clear of the last candidate's are final; the rest (ties,
             # duplicate points) are queried again one by one.
-            final = (cand[:, 0] == np.arange(lo, hi)) & np.all(
+            final = (cand[:, 0] == sel) & np.all(
                 (d[:, 1:] > d[:, :-1])
                 | ((d[:, 1:] == d[:, :-1]) & (c[:, 1:] > c[:, :-1])),
                 axis=1,
@@ -217,16 +229,18 @@ def knn_query_all(cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
             out_idx[lo:hi] = c[:, :k]
             out_dist[lo:hi] = d[:, :k]
             for row in np.flatnonzero(~final):
-                i = lo + row
-                out_idx[i], out_dist[i] = _query_one(cloud, i, k)
+                out_idx[lo + row], out_dist[lo + row] = _query_one(
+                    cloud, int(sel[row]), k
+                )
     else:
         # Exhaustive path. Columns are in index order, so a stable sort by
         # distance orders each row by (distance, index); self sorts last.
         chunk = max(1, _CHUNK_ENTRIES // (n * cloud.embed_dim))
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            dist = np.sqrt(((pts[lo:hi, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        for lo in range(0, n_rows, chunk):
+            hi = min(lo + chunk, n_rows)
+            sel = rows[lo:hi]
+            dist = np.sqrt(((pts[sel][:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            dist[np.arange(hi - lo), sel] = np.inf
             order = np.argsort(dist, axis=1, kind="stable")[:, :k]
             out_idx[lo:hi] = order
             out_dist[lo:hi] = np.take_along_axis(dist, order, axis=1)

@@ -9,7 +9,10 @@ first two moments of those points' projections on the edge, from which the
 error model downstream correlates the two endpoint estimates. The overlaps
 are computed once per unordered pair by scipy's sparse row intersection, in
 batches spread over the CPUs (geometry._run_batches). Both stages read the
-run's kNN table (geometry.knn_query_all) rather than querying it.
+run's kNN table (geometry.knn_query_all). The table may start narrower than
+the adaptive-k cap: select_adaptive_k widens a row to the cap only when its
+test is about to read past the row's width, and hands the grown table on to
+the graph.
 """
 
 from __future__ import annotations
@@ -74,18 +77,15 @@ class NeighborGraph:
 
 
 def select_adaptive_k(
+    cloud: PointCloud,
     idx: np.ndarray,
     dist: np.ndarray,
     d: float,
     lr_threshold: float = LR_THRESHOLD,
     k_min: int = K_MIN,
     k_max: int = K_MAX,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Choose per-point neighbourhood sizes by a constant-density test.
-
-    (idx, dist) is the kNN table of the cloud (knn_query_all), one row per
-    point with at least min(k_max, n-1) - 1 columns; wider tables are read
-    only up to that column.
 
     Growth to size k admits the (k-1)-th nearest neighbour j. Both points'
     neighbour-shell volumes are i.i.d. exponential under constant density, so
@@ -96,9 +96,21 @@ def select_adaptive_k(
     compares a shared density against separate ones. k[i] is the largest size
     <= min(k_max, n-1) reached before D crosses lr_threshold.
 
-    Returns the integer array k, with k_min <= k[i] <= min(k_max, n-1).
+    (idx, dist) is the start of the cloud's kNN table (knn_query_all), one
+    row per point, of any width. The test reads up to cap - 1 columns, with
+    cap = min(k_max, n-1). A start table at least that wide is read as is.
+    A narrower one is copied into a table of cap - 1 columns, and a row is
+    queried again at the full width only when the test is about to read a
+    column past its width: the row of a point still growing, or the row of
+    its newest neighbour j. So no row is queried more than once beyond the
+    start table.
+
+    Returns (k, idx, dist): the integer array k, with
+    k_min <= k[i] <= cap, and the table, whose row i is valid through at
+    least column k[i] - 2 (the k[i] - 1 neighbours the graph reads). Columns
+    past a row's width are unset.
     """
-    n = idx.shape[0]
+    n = cloud.n_points
     if k_min < 4:
         raise ParameterError(f"k_min must be >= 4, got {k_min}")
     if k_max < k_min:
@@ -112,24 +124,59 @@ def select_adaptive_k(
         raise DataError(
             f"n = {n} is too small for k_min = {k_min} with cap n-1 = {n - 1}"
         )
-
-    if dist.shape != idx.shape or idx.shape[1] < cap - 1:
+    if idx.ndim != 2 or idx.shape[0] != n or idx.shape[1] == 0 or (
+        dist.shape != idx.shape
+    ):
         raise ParameterError(
-            f"kNN table of shape {idx.shape} / {dist.shape} is narrower than "
-            f"the {cap - 1} columns adaptive k reads"
+            f"kNN table of shape {idx.shape} / {dist.shape} does not cover "
+            f"{n} points"
         )
-    if np.any(dist[:, k_min - 2] == 0.0):
-        raise DataError("duplicate points inside the minimum neighbourhood")
 
-    # log(V) up to the omega_d constant, which cancels in the statistic.
+    cols = cap - 1
+    start = min(idx.shape[1], cols)
+    if start == cols:
+        table_idx, table_dist = idx[:, :cols], dist[:, :cols]
+    else:
+        table_idx = np.empty((n, cols), dtype=np.int64)
+        table_dist = np.empty((n, cols), dtype=np.float64)
+        table_idx[:, :start] = idx
+        table_dist[:, :start] = dist
+    # log(V) up to the omega_d constant, which cancels in the statistic;
+    # always taken of a contiguous block, so that it does not depend on
+    # the table's width.
+    log_rd = np.empty((n, cols), dtype=np.float64)
     with np.errstate(divide="ignore"):
-        log_rd = d * np.log(dist[:, : cap - 1])
+        log_rd[:, :start] = d * np.log(np.ascontiguousarray(dist[:, :start]))
+    wide = np.zeros(n, dtype=bool)  # rows queried at the full width
+
+    def widen(rows: np.ndarray) -> None:
+        """Query at the full width the rows in rows that are not yet."""
+        rows = np.unique(rows[~wide[rows]])
+        if rows.size == 0:
+            return
+        new_idx, new_dist = geometry.knn_query_all(cloud, cols, rows)
+        table_idx[rows] = new_idx
+        table_dist[rows] = new_dist
+        with np.errstate(divide="ignore"):
+            log_rd[rows] = d * np.log(new_dist)
+        wide[rows] = True
+
+    if start < k_min - 1:
+        widen(np.arange(n))
+        start = cols
+    if np.any(table_dist[:, k_min - 2] == 0.0):
+        raise DataError("duplicate points inside the minimum neighbourhood")
 
     k_arr = np.full(n, k_min, dtype=np.int64)
     active = np.arange(n)
     for k in range(k_min + 1, cap + 1):
         m = k - 2  # column of the newest member, the (k-1)-th neighbour
-        j = idx[active, m]
+        if m == start:
+            # Active rows only shrink, so this widens every row still growing.
+            widen(active)
+        j = table_idx[active, m]
+        if m >= start:
+            widen(j)
         li = log_rd[active, m]
         lj = log_rd[j, m]
         # 2 (k-1) log((Vi+Vj)^2/(4 Vi Vj)), computed via log-volumes.
@@ -140,7 +187,7 @@ def select_adaptive_k(
         if active.size == 0:
             break
         k_arr[active] = k
-    return k_arr
+    return k_arr, table_idx, table_dist
 
 
 def build_neighbor_graph(

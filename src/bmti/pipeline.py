@@ -1,10 +1,12 @@
 """End-to-end log-density estimation: dimension, graph, gradients, solve.
 
 run_bmti wires the stages together for production use; each stage remains
-available separately for inspection and testing. A run queries one kNN table,
-at the adaptive-k cap, and hands it to TwoNN, adaptive k and the graph. The
-Laplacian system is assembled once: solve_bmti solves it at alpha = 1, and
-solve_regularized blends it with the kNN anchor below 1.
+available separately for inspection and testing. A run queries one kNN table
+at a start width of _START_WIDTH columns: TwoNN reads its first two columns,
+adaptive k widens to the cap only the rows its test reads past that width,
+and the graph reads the grown table. The Laplacian system is assembled once:
+solve_bmti solves it at alpha = 1, and solve_regularized blends it with the
+kNN anchor below 1.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .solver import (
     solve_bmti,
     solve_regularized,
 )
+
+# Columns of the kNN table queried for every point; adaptive k widens the
+# rows it reads further. On sixd n=20000 a row needs a median of 52 columns.
+_START_WIDTH = 64
 
 
 @dataclass
@@ -78,11 +84,11 @@ class BmtiResult:
 def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     """Estimate per-point negative log-density for a cloud.
 
-    Stages: one kNN table at the adaptive-k cap, TwoNN intrinsic dimension
-    (unless fixed), adaptive neighbourhood sizes, directed graph with
-    overlaps, mean-shift gradients with covariances, per-edge difference
-    estimates, and the global solve (pure at alpha = 1, anchor-blended
-    otherwise).
+    Stages: one kNN table at a start width, TwoNN intrinsic dimension
+    (unless fixed), adaptive neighbourhood sizes (widening the rows of the
+    table they read further), directed graph with overlaps, mean-shift
+    gradients with covariances, per-edge difference estimates, and the
+    global solve (pure at alpha = 1, anchor-blended otherwise).
     """
     cfg = config if config is not None else BmtiConfig()
     if cfg.id_value is not None:
@@ -93,17 +99,17 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
         raise ParameterError("uncertainties require alpha = 1")
 
     cap = min(cfg.k_max, cloud.n_points - 1)
-    idx, dist = geometry.knn_query_all(cloud, max(1, cap - 1))
+    idx, dist = geometry.knn_query_all(cloud, max(1, min(_START_WIDTH, cap - 1)))
     id_est = None
     if cfg.id_value is None:
         id_est = estimate_id_twonn(dist, cloud.embed_dim)
         d = id_est.d
 
-    k = select_adaptive_k(
-        idx, dist, d,
+    k, idx, dist = select_adaptive_k(
+        cloud, idx, dist, d,
         lr_threshold=cfg.lr_threshold, k_min=cfg.k_min, k_max=cfg.k_max,
     )
-    # The graph reads max(k) - 1 columns. Copying them lets the full table be
+    # The graph reads max(k) - 1 columns. Copying them lets the grown table be
     # freed before the overlap kernel, and the rest before the gradients.
     width = int(k.max()) - 1
     idx, dist = idx[:, :width].copy(), dist[:, :width].copy()

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from bmti import geometry
 from bmti.geometry import PointCloud, knn_query_all
 from bmti.intrinsic_dim import estimate_id_twonn
 from bmti.neighborhoods import K_MAX, build_neighbor_graph, select_adaptive_k
+from bmti.pipeline import _START_WIDTH
 
 _criterion_lines: list[str] = []
 
@@ -36,8 +40,9 @@ def random_cloud(rng, n: int, dim: int, truth: bool = False) -> PointCloud:
 
 
 # The kNN-reading stages, each fed from a table queried at the width it
-# reads. run_bmti queries one table for all three; a test of one stage
-# queries its own.
+# reads; adaptive k, as in run_bmti, from a start table that it widens.
+# run_bmti queries one table for all three; a test of one stage queries its
+# own.
 
 
 def twonn(cloud: PointCloud, **kwargs):
@@ -46,10 +51,28 @@ def twonn(cloud: PointCloud, **kwargs):
 
 
 def adaptive_k(cloud: PointCloud, d: float, k_max: int = K_MAX, **kwargs):
-    idx, dist = knn_query_all(cloud, min(k_max, cloud.n_points - 1) - 1)
-    return select_adaptive_k(idx, dist, d, k_max=k_max, **kwargs)
+    cap = min(k_max, cloud.n_points - 1)
+    idx, dist = knn_query_all(cloud, max(1, min(_START_WIDTH, cap - 1)))
+    k, _, _ = select_adaptive_k(cloud, idx, dist, d, k_max=k_max, **kwargs)
+    return k
 
 
 def neighbor_graph(cloud: PointCloud, k):
     idx, dist = knn_query_all(cloud, int(np.max(k)) - 1)
     return build_neighbor_graph(cloud, k, idx, dist)
+
+
+def count_knn_queries(monkeypatch) -> list:
+    """Patch knn_query_all in every loaded bmti module that holds it; the
+    returned list records the width k of each call."""
+    widths = []
+    query = geometry.knn_query_all
+
+    def counted(cloud, k, rows=None):
+        widths.append(k)
+        return query(cloud, k, rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bmti" and "knn_query_all" in vars(module):
+            monkeypatch.setattr(module, "knn_query_all", counted)
+    return widths

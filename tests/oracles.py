@@ -1,12 +1,15 @@
-"""Scalar references for the vectorized stage kernels.
+"""Scalar references for the vectorized stage kernels and the edge dump.
 
 Each function computes, for one point or one edge, straight from the
 definitions and the neighbour lists, an entry of what build_neighbor_graph,
 compute_gradient_field or build_delta_f_edges compute for all of them at
-once. The tests compare the two.
+once; dump_edges_rows writes `bmti estimate --dump-edges` one csv row at a
+time. The tests compare the two.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -207,3 +210,23 @@ def delta_f_variance(
         raise ParameterError("directional standard deviations must be >= 0")
     eps2 = 0.25 * (eps_i * eps_i + eps_j * eps_j + 2.0 * pearson * eps_i * eps_j)
     return max(eps2, eps2_min)
+
+
+# Edge dump.
+
+
+def dump_edges_rows(edges, path, float_fmt: str = "%.17g") -> None:
+    """The --dump-edges CSV, one csv.writer row per edge."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "delta_f", "eps2", "pearson"])
+        for a in range(edges.n_edges):
+            writer.writerow(
+                [
+                    int(edges.src[a]),
+                    int(edges.dst[a]),
+                    float_fmt % edges.delta_f[a],
+                    float_fmt % edges.eps2[a],
+                    float_fmt % edges.pearson[a],
+                ]
+            )

@@ -13,7 +13,7 @@ from bmti.baselines import (
     silverman_bandwidth,
 )
 from bmti.exceptions import DataError, ParameterError
-from bmti.geometry import PointCloud
+from bmti.geometry import PointCloud, knn_query_all
 
 
 def test_abramson_rule():
@@ -52,6 +52,11 @@ def test_knn_guards(rng):
         knn_density(cloud, d=2.0, k=20)
     with pytest.raises(ParameterError):
         knn_density(cloud, d=0.0, k=3)
+    _, dist = knn_query_all(cloud, 4)
+    with pytest.raises(ParameterError):
+        knn_density(cloud, d=2.0, k=5, dist=dist)  # table narrower than k
+    with pytest.raises(ParameterError):
+        knn_density(cloud, d=2.0, k=3, dist=dist[:10])  # rows missing
     dup = np.zeros((5, 2))
     dup[2:] = [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
     with pytest.raises(DataError):

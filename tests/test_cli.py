@@ -6,7 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from conftest import count_knn_queries, twonn
+from oracles import dump_edges_rows
+
+from bmti.baselines import knn_density
 from bmti.cli import main, read_cloud_csv
+from bmti.pipeline import BmtiConfig, run_bmti
 
 
 def _read_header(path):
@@ -131,6 +136,36 @@ def test_estimate_knn_intrinsic_dim_flag(tmp_path, gauss_csv):
          "--volume-dim", "id", "--out", str(out)]
     )
     assert rc == 0
+
+
+def test_estimate_knn_id_queries_one_table(tmp_path, gauss_csv, monkeypatch):
+    out = tmp_path / "knn_id.csv"
+    widths = count_knn_queries(monkeypatch)
+    rc = main(
+        ["estimate", "--method", "knn", "--input", str(gauss_csv),
+         "--volume-dim", "id", "--k", "9", "--out", str(out)]
+    )
+    assert rc == 0
+    assert widths == [9]
+    monkeypatch.undo()
+    cloud = read_cloud_csv(gauss_csv)
+    want = knn_density(cloud, twonn(cloud).d, 9).F
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(got, want)  # %.17g round-trips every double
+
+
+def test_dump_edges_bytes_match_row_writer(tmp_path, gauss_csv, monkeypatch):
+    monkeypatch.setattr("bmti.cli._DUMP_ROWS", 100)  # several chunks
+    out = tmp_path / "edges.csv"
+    rc = main(
+        ["estimate", "--method", "bmti", "--input", str(gauss_csv),
+         "--id", "2.0", "--out", str(tmp_path / "f.csv"), "--dump-edges", str(out)]
+    )
+    assert rc == 0
+    edges = run_bmti(read_cloud_csv(gauss_csv), BmtiConfig(id_value=2.0)).edges
+    assert edges.n_edges > 300
+    dump_edges_rows(edges, tmp_path / "rows.csv")
+    assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_estimate_works_without_truth_column(tmp_path):

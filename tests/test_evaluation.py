@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from conftest import count_knn_queries, twonn
+
+from bmti.baselines import abramson_k, knn_density
+from bmti.datasets import generate_dataset
 from bmti.exceptions import DataError, ParameterError
 from bmti.evaluation import (
     SCHEMA_VERSION,
+    _estimate_cell,
     align_and_mae,
     parity_export,
     pull_statistics,
@@ -185,6 +190,21 @@ def test_benchmark_knn_intrinsic_dimension_option():
     (report,) = run_benchmark(config)
     assert report.error is None
     assert 1.5 < report.d_used < 2.6
+
+
+@pytest.mark.parametrize("k", [1, 7, None])
+def test_knn_baseline_with_intrinsic_dimension_queries_one_table(monkeypatch, k):
+    cloud = generate_dataset("gauss2d", n=300, seed=2)
+    params = {"volume_dim": "id"} if k is None else {"volume_dim": "id", "k": k}
+    widths = count_knn_queries(monkeypatch)
+    F, d, _, _ = _estimate_cell(cloud, "knn", params)
+    k_used = abramson_k(300, 2) if k is None else k
+    assert widths == [max(k_used, 2)]
+    monkeypatch.undo()
+    # The two tables of TwoNN and the baseline, queried separately.
+    d_ref = twonn(cloud).d
+    assert d == d_ref
+    assert np.array_equal(F, knn_density(cloud, d_ref, k_used).F)
 
 
 def test_benchmark_failed_cell_is_tagged_and_run_continues():

@@ -126,6 +126,26 @@ def test_query_all_matches_per_point_with_ties(rng, monkeypatch, case):
             np.testing.assert_array_equal(dist[i], want_dist)
 
 
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "twins"])
+def test_query_of_rows_matches_full_table(rng, case):
+    pts, k = _tie_cases(rng)[case]
+    n, dim = pts.shape
+    wide = np.hstack([pts, np.zeros((n, KDTREE_MAX_DIM + 1 - dim))])
+    # Unsorted, repeated and single rows, on the tree and the scan path.
+    rows = np.concatenate([rng.permutation(n)[: n // 3], [5, 5, n - 1]])
+    for cloud in (PointCloud(points=pts), PointCloud(points=wide)):
+        idx, dist = knn_query_all(cloud, k)
+        for sel in (rows, rows[-1:]):
+            got_idx, got_dist = knn_query_all(cloud, k, sel)
+            assert got_idx.shape == got_dist.shape == (sel.size, k)
+            np.testing.assert_array_equal(got_idx, idx[sel])
+            np.testing.assert_array_equal(got_dist, dist[sel])
+    cloud = PointCloud(points=pts)
+    for bad in ([0, n], [-1], [[0, 1]]):
+        with pytest.raises(ParameterError):
+            knn_query_all(cloud, k, np.array(bad))
+
+
 def test_exact_ties_break_by_index():
     # 4 corners equidistant from the centre point.
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

@@ -94,19 +94,30 @@ def test_selection_guards(rng):
     cloud = PointCloud(points=rng.standard_normal((50, 2)))
     table = knn_query_all(cloud, 49)
     with pytest.raises(ParameterError):
-        select_adaptive_k(*table, 2.0, k_min=3)
+        select_adaptive_k(cloud, *table, 2.0, k_min=3)
     with pytest.raises(ParameterError):
-        select_adaptive_k(*table, 2.0, k_min=8, k_max=7)
+        select_adaptive_k(cloud, *table, 2.0, k_min=8, k_max=7)
     with pytest.raises(ParameterError):
-        select_adaptive_k(*table, -1.0)
+        select_adaptive_k(cloud, *table, -1.0)
     with pytest.raises(ParameterError):
-        select_adaptive_k(*table, 2.0, lr_threshold=0.0)
+        select_adaptive_k(cloud, *table, 2.0, lr_threshold=0.0)
+    # A table that does not cover the cloud, or whose halves disagree.
+    with pytest.raises(ParameterError):
+        select_adaptive_k(cloud, table[0][:40], table[1][:40], 2.0)
+    with pytest.raises(ParameterError):
+        select_adaptive_k(cloud, table[0], table[1][:, :10], 2.0)
+    # A narrow table is a start that is widened where the test reads past it.
     narrow = knn_query_all(cloud, 10)
-    with pytest.raises(ParameterError):
-        select_adaptive_k(*narrow, 2.0, k_max=13)
+    k, idx, dist = select_adaptive_k(cloud, *narrow, 2.0, k_max=13)
+    k_full, _, _ = select_adaptive_k(cloud, *table, 2.0, k_max=13)
+    np.testing.assert_array_equal(k, k_full)
+    assert idx.shape == dist.shape == (50, 12) and np.any(k == 13)
+    for i in range(50):
+        assert np.array_equal(idx[i, : k[i] - 1], table[0][i, : k[i] - 1])
+        assert np.array_equal(dist[i, : k[i] - 1], table[1][i, : k[i] - 1])
     tiny = PointCloud(points=rng.standard_normal((4, 2)))
     with pytest.raises(DataError):
-        select_adaptive_k(*knn_query_all(tiny, 3), 2.0)
+        select_adaptive_k(tiny, *knn_query_all(tiny, 3), 2.0)
 
 
 def test_graph_structure_line_points():

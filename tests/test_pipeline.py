@@ -1,44 +1,54 @@
-"""run_bmti end to end: one kNN table and one assembly per run, same F as
-the stages by hand and on any thread count or batch size."""
+"""run_bmti end to end: one kNN table, grown by rows, and one assembly per
+run, same F as the stages by hand and on any thread count or batch size."""
 
 from __future__ import annotations
 
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import adaptive_k, neighbor_graph, twonn
+from conftest import neighbor_graph, twonn
 
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
 from bmti.delta_f import build_delta_f_edges
-from bmti.exceptions import ParameterError
+from bmti.exceptions import BmtiError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
-from bmti.neighborhoods import connected_components
+from bmti.neighborhoods import LR_THRESHOLD, connected_components, select_adaptive_k
 from bmti.pipeline import BmtiConfig, run_bmti
 from bmti.solver import assemble_system, solve_bmti
 
 
-def test_one_knn_query_per_run_and_stages_by_hand(monkeypatch):
+def test_knn_table_grown_by_rows_and_stages_by_hand(monkeypatch):
     cloud = generate_dataset("gauss2d", n=600, seed=3)
-    widths = []
+    calls = []
     query = geometry.knn_query_all
 
-    def counted(c, k):
-        widths.append(k)
-        return query(c, k)
+    def counted(c, k, rows=None):
+        calls.append((k, rows))
+        return query(c, k, rows)
 
     monkeypatch.setattr(geometry, "knn_query_all", counted)
     result = run_bmti(cloud)
-    assert widths == [255]  # min(k_max, n - 1) - 1
     monkeypatch.undo()
+    # Every point at the start width, then subsets of rows at the cap,
+    # min(k_max, n - 1) - 1 = 255 columns, each row at most once.
+    assert calls[0] == (pipeline._START_WIDTH, None)
+    assert len(calls) > 1 and all(k == 255 for k, _ in calls[1:])
+    assert all(0 < len(rows) < cloud.n_points for _, rows in calls[1:])
+    widened = np.concatenate([rows for _, rows in calls[1:]])
+    assert np.unique(widened).size == widened.size
 
-    # Each stage below queries its own table at the width it reads.
+    # Each stage below queries its own table at the width it reads, adaptive
+    # k the full 255 columns, so the grown table must give the same sizes.
     d = twonn(cloud).d
-    k = adaptive_k(cloud, d)
+    k, _, _ = select_adaptive_k(cloud, *geometry.knn_query_all(cloud, 255), d)
     graph = neighbor_graph(cloud, k)
     gradients = compute_gradient_field(graph, cloud, d)
     edges = build_delta_f_edges(graph, gradients, cloud)
@@ -46,6 +56,65 @@ def test_one_knn_query_per_run_and_stages_by_hand(monkeypatch):
     assert result.d_used == d
     np.testing.assert_array_equal(result.graph.k, k)
     assert np.array_equal(result.F, estimate.F)
+
+
+def _run_counting_rows(cloud, cfg, start):
+    """run_bmti with a start width of `start` columns, and how many times
+    each row was queried; a BmtiError raised is returned as the result."""
+    counts = np.zeros(cloud.n_points, dtype=np.int64)
+    query = geometry.knn_query_all
+
+    def counted(c, k, rows=None):
+        counts[np.arange(c.n_points) if rows is None else rows] += 1
+        return query(c, k, rows)
+
+    with mock.patch.object(geometry, "knn_query_all", counted), \
+            mock.patch.object(pipeline, "_START_WIDTH", start), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return run_bmti(cloud, cfg), counts
+        except BmtiError as exc:
+            return exc, counts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["gauss", "lattice"]),
+    n=st.integers(12, 90),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    k_max=st.integers(4, 100),
+    start=st.integers(2, 70),
+    lr=st.sampled_from([4.0, LR_THRESHOLD, 1e3]),
+)
+# A tiny cloud whose cap - 1 = 10 columns are below the default start width;
+# lattices (ties at every distance) whose cap binds below n - 1, with rows
+# widened past a start of 64 and of 3 columns.
+@example(kind="gauss", n=12, dim=2, seed=0, k_max=256, start=64, lr=LR_THRESHOLD)
+@example(kind="lattice", n=90, dim=2, seed=1, k_max=70, start=64, lr=1e3)
+@example(kind="lattice", n=80, dim=1, seed=2, k_max=40, start=3, lr=1e3)
+def test_grown_table_matches_full_width_table(kind, n, dim, seed, k_max, start, lr):
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        pts = rng.standard_normal((n, dim))
+    else:
+        side = int(np.ceil(n ** (1.0 / dim))) + 1
+        cells = rng.choice(side**dim, size=n, replace=False)
+        pts = np.stack(np.unravel_index(cells, (side,) * dim), axis=1) * 1.0
+    cloud = PointCloud(points=pts)
+    cfg = BmtiConfig(k_max=k_max, lr_threshold=lr)
+    full, _ = _run_counting_rows(cloud, cfg, n)
+    grown, counts = _run_counting_rows(cloud, cfg, start)
+    assert counts.max() <= 2
+    if isinstance(full, BmtiError):
+        assert type(grown) is type(full) and str(grown) == str(full)
+        return
+    assert not isinstance(grown, BmtiError), grown
+    assert np.array_equal(grown.graph.k, full.graph.k)
+    assert np.array_equal(grown.graph.radii, full.graph.radii)
+    assert np.array_equal(grown.graph.edge_dst, full.graph.edge_dst)
+    assert np.array_equal(grown.F, full.F)
 
 
 def test_results_independent_of_threads_and_batches(monkeypatch):
