@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud, knn_query_all, unit_ball_volume
+from .intrinsic_dim import estimate_id_twonn
 
 
 @dataclass
@@ -56,6 +57,35 @@ def knn_density(
         raise DataError("zero k-th neighbour distance: duplicate points")
     F = np.log(float(n)) + np.log(unit_ball_volume(d)) + d * np.log(r) - np.log(float(k))
     return BaselineEstimate(F=F, method="knn", params={"k": k, "d": float(d)})
+
+
+def knn_baseline(
+    cloud: PointCloud,
+    k: int | None = None,
+    volume_dim: str = "embed",
+    d: float | None = None,
+) -> BaselineEstimate:
+    """knn_density as `bmti estimate --method knn` and the benchmark run it.
+
+    k defaults to abramson_k. The ball dimension is d when given, else the
+    embedding dimension (volume_dim "embed") or the TwoNN intrinsic
+    dimension (volume_dim "id"); the latter queries one table at max(k, 2)
+    for TwoNN (two columns) and the baseline (k). The dimension used is
+    params["d"] of the result.
+    """
+    k = abramson_k(cloud.n_points, cloud.embed_dim) if k is None else int(k)
+    dist = None
+    if d is None:
+        if volume_dim == "embed":
+            d = float(cloud.embed_dim)
+        elif volume_dim == "id":
+            _, dist = knn_query_all(cloud, max(k, 2))
+            d = estimate_id_twonn(dist, cloud.embed_dim).d
+        else:
+            raise ParameterError(
+                f"volume_dim must be 'id' or 'embed', got {volume_dim!r}"
+            )
+    return knn_density(cloud, d, k, dist)
 
 
 def silverman_bandwidth(cloud: PointCloud) -> float:

@@ -13,12 +13,11 @@ import sys
 
 import numpy as np
 
-from .baselines import abramson_k, gkde_density, knn_density
+from .baselines import gkde_density, knn_baseline
 from .datasets import generate_dataset
 from .evaluation import align_and_mae, run_benchmark
 from .exceptions import BmtiError, DataError, ParameterError
-from .geometry import PointCloud, knn_query_all
-from .intrinsic_dim import estimate_id_twonn
+from .geometry import PointCloud
 from .pipeline import BmtiConfig, run_bmti
 
 _FLOAT_FMT = "%.17g"
@@ -157,19 +156,9 @@ def _cmd_estimate(args) -> int:
             _dump_gradients(result.gradients, args.dump_gradients)
         d_used = result.d_used
     elif args.method == "knn":
-        k = args.k if args.k is not None else abramson_k(
-            cloud.n_points, cloud.embed_dim
-        )
-        dist = None
-        if args.id is not None:
-            d_used = args.id
-        elif args.volume_dim == "embed":
-            d_used = float(cloud.embed_dim)
-        else:
-            # One table for TwoNN (two columns) and the baseline (k).
-            _, dist = knn_query_all(cloud, max(k, 2))
-            d_used = estimate_id_twonn(dist, cloud.embed_dim).d
-        cols = [knn_density(cloud, d_used, k, dist).F]
+        est = knn_baseline(cloud, args.k, args.volume_dim, args.id)
+        cols = [est.F]
+        d_used = est.params["d"]
     else:
         est = gkde_density(cloud, bandwidth=args.bandwidth)
         cols = [est.F]

@@ -11,18 +11,16 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import kstest
 
-from .baselines import abramson_k, gkde_density, knn_density
+from .baselines import gkde_density, knn_baseline
 from .datasets import DATASET_DEFAULTS, generate_dataset
 from .delta_f import calibration_report
 from .exceptions import DataError, ParameterError
-from .geometry import PointCloud, knn_query_all
-from .intrinsic_dim import estimate_id_twonn
+from .geometry import PointCloud
 from .pipeline import BmtiConfig, run_bmti
 
 SCHEMA_VERSION = 1
@@ -141,22 +139,10 @@ def _estimate_cell(
         pull = calibration_report(result.edges, cloud)
         return result.F, result.d_used, pull.mean, pull.std
     if method == "knn":
-        volume_dim = params.get("volume_dim", "embed")
-        k = params.get("k")
-        k = abramson_k(cloud.n_points, cloud.embed_dim) if k is None else int(k)
-        dist = None
-        if volume_dim == "embed":
-            d = float(cloud.embed_dim)
-        elif volume_dim == "id":
-            # One table for TwoNN (two columns) and the baseline (k).
-            _, dist = knn_query_all(cloud, max(k, 2))
-            d = estimate_id_twonn(dist, cloud.embed_dim).d
-        else:
-            raise ParameterError(
-                f"volume_dim must be 'id' or 'embed', got {volume_dim!r}"
-            )
-        est = knn_density(cloud, d, k, dist)
-        return est.F, d, None, None
+        est = knn_baseline(
+            cloud, params.get("k"), params.get("volume_dim", "embed")
+        )
+        return est.F, est.params["d"], None, None
     if method == "gkde":
         est = gkde_density(cloud, bandwidth=params.get("bandwidth"))
         return est.F, float(cloud.embed_dim), None, None
@@ -198,13 +184,20 @@ def run_benchmark(
     """Run every (dataset, method, seed, size) cell of a benchmark config.
 
     Config keys: datasets[] and methods[] (required), seeds[] (default
-    [0]), sizes[] (optional; None uses each dataset's default count),
-    estimator_params{} (per-method keyword arguments), workers (cell
-    parallelism, default 1). Failed cells are reported with an error tag;
-    the run continues. Reports are written to out_json / out_csv when given.
+    [0]), sizes[] (optional; None uses each dataset's default count) and
+    estimator_params{} (per-method keyword arguments); any other key raises
+    ParameterError. Cells run one after another, each on every CPU. Failed
+    cells are reported with an error tag; the run continues. Reports are
+    written to out_json / out_csv when given.
     """
     if not isinstance(config, dict):
         raise ParameterError("benchmark config must be a mapping")
+    keys = ("datasets", "methods", "seeds", "sizes", "estimator_params")
+    unknown = sorted(str(key) for key in config if key not in keys)
+    if unknown:
+        raise ParameterError(
+            f"unknown benchmark config keys {unknown}; expected {list(keys)}"
+        )
     datasets = config.get("datasets")
     methods = config.get("methods")
     if not datasets or not isinstance(datasets, (list, tuple)):
@@ -219,9 +212,6 @@ def run_benchmark(
     estimator_params = config.get("estimator_params") or {}
     if not isinstance(estimator_params, dict):
         raise ParameterError("estimator_params must be a mapping of method to params")
-    workers = int(config.get("workers", 1))
-    if workers < 1:
-        raise ParameterError("workers must be >= 1")
 
     cells = [
         (ds, m, int(seed), None if size is None else int(size),
@@ -231,11 +221,7 @@ def run_benchmark(
         for seed in seeds
         for size in sizes
     ]
-    if workers == 1:
-        reports = [_run_cell(*cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda c: _run_cell(*c), cells))
+    reports = [_run_cell(*cell) for cell in cells]
 
     if out_json is not None:
         write_report_json(reports, out_json)

@@ -1,9 +1,10 @@
 """Point-cloud container, exact nearest-neighbour queries and ball volumes.
 
-All distances are Euclidean. Queries are exact: a k-d tree accelerates low
-embedding dimensions and an exhaustive scan covers high ones, and both paths
-recompute distances with the same numpy expression and order candidates by
-(distance, index), so results are identical and ties are deterministic.
+All distances are Euclidean. Queries are exact and go through one k-d tree
+at every embedding dimension (a tree slows with the intrinsic dimension, not
+the ambient one). Distances of the tree's candidates are recomputed with one
+numpy expression and ordered by (distance, index), so ties are
+deterministic.
 
 `knn_query_all` builds the one kNN table of a run, for every point or for
 a subset of rows: `run_bmti` queries every point at a start width, and
@@ -30,10 +31,6 @@ from scipy.special import gammaln
 
 from .exceptions import DataError, ParameterError
 
-# k-d trees lose to brute force as the embedding dimension grows; beyond this
-# we scan. Both paths return bit-identical results.
-KDTREE_MAX_DIM = 15
-
 # Extra candidates fetched from the tree so that equal-distance points
 # straddling the cut are ordered by index, not by tree internals.
 _TIE_PAD = 8
@@ -44,7 +41,7 @@ _TIE_PAD = 8
 _TIE_SLACK = 1e-9
 
 # Entries of the (rows, candidates, dim) difference block of one chunk of
-# rows; bounds the workspace of both query paths.
+# rows; bounds the workspace of a query.
 _CHUNK_ENTRIES = 1 << 21
 
 # Array entries one batch of a stage kernel (overlap, gradient, edge) may
@@ -106,9 +103,7 @@ class PointCloud:
         return self.points.shape[1]
 
     @cached_property
-    def _tree(self) -> cKDTree | None:
-        if self.embed_dim > KDTREE_MAX_DIM:
-            return None
+    def _tree(self) -> cKDTree:
         return cKDTree(self.points)
 
 
@@ -150,17 +145,14 @@ def _query_one(cloud: PointCloud, i: int, k: int) -> tuple[np.ndarray, np.ndarra
     pts = cloud.points
     n = cloud.n_points
     tree = cloud._tree
-    if tree is None:
-        cand, dist = _canonical_candidates(pts, i, np.arange(n))
-    else:
-        m = min(k + 1 + _TIE_PAD, n)
-        _, idx = tree.query(pts[i], k=m)
-        cand, dist = _canonical_candidates(pts, i, np.atleast_1d(idx))
-        if m < n and dist[k - 1] * (1.0 + _TIE_SLACK) >= dist[-1]:
-            # Equal distances may run past the candidates: take every point
-            # the tree finds within the k-th distance.
-            ball = tree.query_ball_point(pts[i], dist[k - 1] * (1.0 + _TIE_SLACK))
-            cand, dist = _canonical_candidates(pts, i, np.asarray(ball, dtype=np.int64))
+    m = min(k + 1 + _TIE_PAD, n)
+    _, idx = tree.query(pts[i], k=m)
+    cand, dist = _canonical_candidates(pts, i, np.atleast_1d(idx))
+    if m < n and dist[k - 1] * (1.0 + _TIE_SLACK) >= dist[-1]:
+        # Equal distances may run past the candidates: take every point
+        # the tree finds within the k-th distance.
+        ball = tree.query_ball_point(pts[i], dist[k - 1] * (1.0 + _TIE_SLACK))
+        cand, dist = _canonical_candidates(pts, i, np.asarray(ball, dtype=np.int64))
     return cand[:k], dist[:k]
 
 
@@ -188,10 +180,10 @@ def knn_query_all(
     rows is None), rows sorted nearest first with ties broken by index. Same
     results as per-point knn_query, so a row does not depend on which other
     rows are queried with it. Rows are processed in chunks that bound the
-    workspace. On the tree path a row whose tree order is already canonical
-    (self first, then strictly increasing distance or equal distance with
-    increasing index) is copied as is; only rows with ties or duplicate
-    points go through knn_query's per-point path.
+    workspace. A row whose tree order is already canonical (self first, then
+    strictly increasing distance or equal distance with increasing index) is
+    copied as is; only rows with ties or duplicate points go through
+    knn_query's per-point path.
     """
     n = cloud.n_points
     if not 1 <= k <= n - 1:
@@ -207,43 +199,30 @@ def knn_query_all(
     n_rows = rows.shape[0]
     out_idx = np.empty((n_rows, k), dtype=np.int64)
     out_dist = np.empty((n_rows, k), dtype=np.float64)
-    if tree is not None:
-        m = min(k + 1 + _TIE_PAD, n)
-        chunk = max(1, _CHUNK_ENTRIES // (m * cloud.embed_dim))
-        for lo in range(0, n_rows, chunk):
-            hi = min(lo + chunk, n_rows)
-            sel = rows[lo:hi]
-            _, cand = tree.query(pts[sel], k=m, workers=-1)
-            dist = np.sqrt(((pts[cand] - pts[sel][:, None, :]) ** 2).sum(axis=2))
-            c, d = cand[:, 1:], dist[:, 1:]
-            # Rows whose tree order is canonical and whose k-th distance is
-            # clear of the last candidate's are final; the rest (ties,
-            # duplicate points) are queried again one by one.
-            final = (cand[:, 0] == sel) & np.all(
-                (d[:, 1:] > d[:, :-1])
-                | ((d[:, 1:] == d[:, :-1]) & (c[:, 1:] > c[:, :-1])),
-                axis=1,
+    m = min(k + 1 + _TIE_PAD, n)
+    chunk = max(1, _CHUNK_ENTRIES // (m * cloud.embed_dim))
+    for lo in range(0, n_rows, chunk):
+        hi = min(lo + chunk, n_rows)
+        sel = rows[lo:hi]
+        _, cand = tree.query(pts[sel], k=m, workers=-1)
+        dist = np.sqrt(((pts[cand] - pts[sel][:, None, :]) ** 2).sum(axis=2))
+        c, d = cand[:, 1:], dist[:, 1:]
+        # Rows whose tree order is canonical and whose k-th distance is
+        # clear of the last candidate's are final; the rest (ties,
+        # duplicate points) are queried again one by one.
+        final = (cand[:, 0] == sel) & np.all(
+            (d[:, 1:] > d[:, :-1])
+            | ((d[:, 1:] == d[:, :-1]) & (c[:, 1:] > c[:, :-1])),
+            axis=1,
+        )
+        if m < n:
+            final &= d[:, k - 1] * (1.0 + _TIE_SLACK) < d[:, -1]
+        out_idx[lo:hi] = c[:, :k]
+        out_dist[lo:hi] = d[:, :k]
+        for row in np.flatnonzero(~final):
+            out_idx[lo + row], out_dist[lo + row] = _query_one(
+                cloud, int(sel[row]), k
             )
-            if m < n:
-                final &= d[:, k - 1] * (1.0 + _TIE_SLACK) < d[:, -1]
-            out_idx[lo:hi] = c[:, :k]
-            out_dist[lo:hi] = d[:, :k]
-            for row in np.flatnonzero(~final):
-                out_idx[lo + row], out_dist[lo + row] = _query_one(
-                    cloud, int(sel[row]), k
-                )
-    else:
-        # Exhaustive path. Columns are in index order, so a stable sort by
-        # distance orders each row by (distance, index); self sorts last.
-        chunk = max(1, _CHUNK_ENTRIES // (n * cloud.embed_dim))
-        for lo in range(0, n_rows, chunk):
-            hi = min(lo + chunk, n_rows)
-            sel = rows[lo:hi]
-            dist = np.sqrt(((pts[sel][:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-            dist[np.arange(hi - lo), sel] = np.inf
-            order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-            out_idx[lo:hi] = order
-            out_dist[lo:hi] = np.take_along_axis(dist, order, axis=1)
     return out_idx, out_dist
 
 

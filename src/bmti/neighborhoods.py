@@ -141,12 +141,6 @@ def select_adaptive_k(
         table_dist = np.empty((n, cols), dtype=np.float64)
         table_idx[:, :start] = idx
         table_dist[:, :start] = dist
-    # log(V) up to the omega_d constant, which cancels in the statistic;
-    # always taken of a contiguous block, so that it does not depend on
-    # the table's width.
-    log_rd = np.empty((n, cols), dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_rd[:, :start] = d * np.log(np.ascontiguousarray(dist[:, :start]))
     wide = np.zeros(n, dtype=bool)  # rows queried at the full width
 
     def widen(rows: np.ndarray) -> None:
@@ -157,8 +151,6 @@ def select_adaptive_k(
         new_idx, new_dist = geometry.knn_query_all(cloud, cols, rows)
         table_idx[rows] = new_idx
         table_dist[rows] = new_dist
-        with np.errstate(divide="ignore"):
-            log_rd[rows] = d * np.log(new_dist)
         wide[rows] = True
 
     if start < k_min - 1:
@@ -177,8 +169,10 @@ def select_adaptive_k(
         j = table_idx[active, m]
         if m >= start:
             widen(j)
-        li = log_rd[active, m]
-        lj = log_rd[j, m]
+        # log(V) up to the omega_d constant, which cancels in the statistic;
+        # every distance read here is positive (duplicates checked above).
+        li = d * np.log(table_dist[active, m])
+        lj = d * np.log(table_dist[j, m])
         # 2 (k-1) log((Vi+Vj)^2/(4 Vi Vj)), computed via log-volumes.
         s = np.logaddexp(li, lj)
         stat = 2.0 * (k - 1) * (2.0 * s - np.log(4.0) - li - lj)

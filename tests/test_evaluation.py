@@ -249,25 +249,13 @@ def test_benchmark_config_validation():
             {"datasets": ["gauss2d"], "methods": ["knn"],
              "estimator_params": ["knn"]}
         )
-    with pytest.raises(ParameterError):
-        run_benchmark({"datasets": ["gauss2d"], "methods": ["knn"], "workers": 0})
-
-
-def test_benchmark_workers_parallel_matches_serial():
-    config = {
-        "datasets": ["gauss2d"],
-        "methods": ["knn", "gkde"],
-        "seeds": [0, 1],
-        "sizes": [150],
-    }
-    serial = run_benchmark(config)
-    parallel = run_benchmark({**config, "workers": 2})
-    assert [(r.method, r.seed) for r in serial] == [
-        (r.method, r.seed) for r in parallel
-    ]
-    for a, b in zip(serial, parallel):
-        assert a.mae == b.mae
-        assert a.aligned_offset == b.aligned_offset
+    # Unknown keys (a misspelt "seeds", a "workers" count) fail before any
+    # cell runs, and the error names each of them.
+    with pytest.raises(ParameterError, match=r"\['seed', 'workers'\]"):
+        run_benchmark(
+            {"datasets": ["gauss2d"], "methods": ["knn"], "workers": 2,
+             "seed": [0]}
+        )
 
 
 def test_benchmark_report_files(tmp_path, small_benchmark):

@@ -10,7 +10,6 @@ import pytest
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import (
-    KDTREE_MAX_DIM,
     PointCloud,
     _canonical_order,
     knn_query,
@@ -63,18 +62,29 @@ def test_query_all_matches_per_point(rng):
         np.testing.assert_array_equal(dist[i], res.distances)
 
 
-def test_tree_and_scan_paths_agree(rng):
-    # Same geometry queried in a tree-eligible dimension and, zero-padded,
-    # above the tree cutoff; padding keeps every distance bit-identical.
+# Embedding dimension of the zero-padded twins of the test clouds: high, so
+# that the tree is checked where it prunes least. Zero padding keeps every
+# distance bit-identical, so a padded table must equal the unpadded one.
+_PAD_TO = 18
+
+
+def _padded(pts: np.ndarray) -> np.ndarray:
+    return np.hstack([pts, np.zeros((pts.shape[0], _PAD_TO - pts.shape[1]))])
+
+
+def test_zero_padded_high_dim_table_matches_low_dim(rng):
     pts = rng.standard_normal((500, 3))
-    wide = np.hstack([pts, np.zeros((500, KDTREE_MAX_DIM))])
     low = PointCloud(points=pts)
-    high = PointCloud(points=wide)
-    assert high._tree is None and low._tree is not None
+    high = PointCloud(points=_padded(pts))
+    assert high.embed_dim == _PAD_TO
     il, dl = knn_query_all(low, 12)
     ih, dh = knn_query_all(high, 12)
     np.testing.assert_array_equal(il, ih)
     np.testing.assert_array_equal(dl, dh)
+    for i in rng.integers(0, 500, size=20):
+        want_idx, want_dist = brute_neighbors(high.points, int(i), 12)
+        assert ih[i].tolist() == want_idx.tolist()
+        np.testing.assert_array_equal(dh[i], want_dist)
 
 
 # 17 copies of -2 among 60 points on a line: the tree's candidates for one of
@@ -102,26 +112,24 @@ def _tie_cases(rng):
 @pytest.mark.parametrize("case", ["lattice", "duplicates", "twins"])
 def test_query_all_matches_per_point_with_ties(rng, monkeypatch, case):
     pts, k = _tie_cases(rng)[case]
-    n, dim = pts.shape
-    # The same geometry above the tree cutoff, zero-padded, takes the scan path.
-    wide = np.hstack([pts, np.zeros((n, KDTREE_MAX_DIM + 1 - dim))])
+    n = pts.shape[0]
     reordered = []
     monkeypatch.setattr(
         geometry, "_canonical_order",
         lambda d2, cand: reordered.append(1) or _canonical_order(d2, cand),
     )
-    for cloud in (PointCloud(points=pts), PointCloud(points=wide)):
+    # The same geometry, also zero-padded to a high embedding dimension.
+    for cloud in (PointCloud(points=pts), PointCloud(points=_padded(pts))):
         reordered.clear()
         idx, dist = knn_query_all(cloud, k)
-        if cloud._tree is not None:
-            # Some rows leave the tree out of canonical order; they are
-            # reordered one by one.
-            assert reordered
+        # Some rows leave the tree out of canonical order; they are
+        # reordered one by one.
+        assert reordered
         for i in range(n):
             res = knn_query(cloud, i, k)
             assert idx[i].tolist() == res.indices.tolist()
             np.testing.assert_array_equal(dist[i], res.distances)
-            want_idx, want_dist = brute_neighbors(pts, i, k)
+            want_idx, want_dist = brute_neighbors(cloud.points, i, k)
             assert idx[i].tolist() == want_idx.tolist()
             np.testing.assert_array_equal(dist[i], want_dist)
 
@@ -129,11 +137,11 @@ def test_query_all_matches_per_point_with_ties(rng, monkeypatch, case):
 @pytest.mark.parametrize("case", ["lattice", "duplicates", "twins"])
 def test_query_of_rows_matches_full_table(rng, case):
     pts, k = _tie_cases(rng)[case]
-    n, dim = pts.shape
-    wide = np.hstack([pts, np.zeros((n, KDTREE_MAX_DIM + 1 - dim))])
-    # Unsorted, repeated and single rows, on the tree and the scan path.
+    n = pts.shape[0]
+    # Unsorted, repeated and single rows, of the cloud and of the cloud
+    # zero-padded to a high embedding dimension.
     rows = np.concatenate([rng.permutation(n)[: n // 3], [5, 5, n - 1]])
-    for cloud in (PointCloud(points=pts), PointCloud(points=wide)):
+    for cloud in (PointCloud(points=pts), PointCloud(points=_padded(pts))):
         idx, dist = knn_query_all(cloud, k)
         for sel in (rows, rows[-1:]):
             got_idx, got_dist = knn_query_all(cloud, k, sel)

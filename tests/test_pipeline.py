@@ -117,6 +117,33 @@ def test_grown_table_matches_full_width_table(kind, n, dim, seed, k_max, start, 
     assert np.array_equal(grown.F, full.F)
 
 
+# One size per landscape; the 50 runs of the test take about 12 s.
+_PERMUTED_SIZES = {"gauss2d": 300, "mb2d": 600, "sixd": 800}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    dataset=st.sampled_from(sorted(_PERMUTED_SIZES)),
+    seed=st.integers(0, 2**16),
+    perm_seed=st.integers(0, 2**16),
+)
+def test_run_bmti_equivariant_under_point_permutation(dataset, seed, perm_seed):
+    cloud = generate_dataset(dataset, n=_PERMUTED_SIZES[dataset], seed=seed)
+    perm = np.random.default_rng(perm_seed).permutation(cloud.n_points)
+    # A CG tolerance far below the default 1e-8, at which the two solves
+    # stop up to 7e-8 apart; at 1e-12 they differ by rounding alone.
+    cfg = BmtiConfig(cg_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        base = run_bmti(cloud, cfg)
+        moved = run_bmti(PointCloud(points=cloud.points[perm]), cfg)
+    # k is read off exact distances, so it moves with the points; F only up
+    # to the summation order of the solve.
+    assert np.array_equal(moved.graph.k, base.graph.k[perm])
+    want = base.F[perm] - base.F.mean()
+    np.testing.assert_allclose(moved.F - moved.F.mean(), want, rtol=0, atol=1e-7)
+
+
 def test_results_independent_of_threads_and_batches(monkeypatch):
     cloud = generate_dataset("mb2d", n=600, seed=4)
 
