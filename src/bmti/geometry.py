@@ -3,8 +3,8 @@
 All distances are Euclidean. Queries are exact and go through one k-d tree
 at every embedding dimension (a tree slows with the intrinsic dimension, not
 the ambient one). Distances of the tree's candidates are recomputed with one
-numpy expression and ordered by (distance, index), so ties are
-deterministic.
+numpy expression, summed one coordinate at a time, and ordered by
+(distance, index), so ties are deterministic.
 
 `knn_query_all` builds the one kNN table of a run, for every point or for
 a subset of rows: `run_bmti` queries every point at a start width, and
@@ -40,8 +40,8 @@ _TIE_PAD = 8
 # equal-distance points the tree left out, and is widened to a ball.
 _TIE_SLACK = 1e-9
 
-# Entries of the (rows, candidates, dim) difference block of one chunk of
-# rows; bounds the workspace of a query.
+# Rows x candidates x dim of one chunk of rows; bounds the workspace of a
+# query.
 _CHUNK_ENTRIES = 1 << 21
 
 # Array entries one batch of a stage kernel (overlap, gradient, edge) may
@@ -106,6 +106,12 @@ class PointCloud:
     def _tree(self) -> cKDTree:
         return cKDTree(self.points)
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """Coordinates as a (D, n) C-ordered array: the distance kernel
+        gathers one coordinate of many points at a time."""
+        return np.ascontiguousarray(self.points.T)
+
 
 @dataclass(frozen=True)
 class NeighborQueryResult:
@@ -126,6 +132,24 @@ def unit_ball_volume(d: float) -> float:
     return float(np.exp(np.log(2.0 / d) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d)))
 
 
+def _squared_distances(
+    cloud: PointCloud, centres: int | np.ndarray, cand: np.ndarray
+) -> np.ndarray:
+    """Squared distances from the points centres to the points cand.
+
+    centres broadcasts against cand: one index for a 1-d cand, a column of
+    indices for one row of candidates each. Summed one coordinate at a time,
+    in coordinate order, so a distance has the same bits whichever shape of
+    query it is part of.
+    """
+    sq = np.zeros(cand.shape)
+    for col in cloud._columns:
+        diff = col[cand] - col[centres]
+        diff *= diff
+        sq += diff
+    return sq
+
+
 def _canonical_order(diffs_sq: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort candidates by (distance, index); distances via one canonical path."""
     dist = np.sqrt(diffs_sq)
@@ -134,11 +158,11 @@ def _canonical_order(diffs_sq: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray
 
 
 def _canonical_candidates(
-    pts: np.ndarray, i: int, cand: np.ndarray
+    cloud: PointCloud, i: int, cand: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidates of point i other than itself, in (distance, index) order."""
     cand = cand[cand != i]
-    return _canonical_order(((pts[cand] - pts[i]) ** 2).sum(axis=1), cand)
+    return _canonical_order(_squared_distances(cloud, i, cand), cand)
 
 
 def _query_one(cloud: PointCloud, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,12 +171,14 @@ def _query_one(cloud: PointCloud, i: int, k: int) -> tuple[np.ndarray, np.ndarra
     tree = cloud._tree
     m = min(k + 1 + _TIE_PAD, n)
     _, idx = tree.query(pts[i], k=m)
-    cand, dist = _canonical_candidates(pts, i, np.atleast_1d(idx))
+    cand, dist = _canonical_candidates(cloud, i, np.atleast_1d(idx))
     if m < n and dist[k - 1] * (1.0 + _TIE_SLACK) >= dist[-1]:
         # Equal distances may run past the candidates: take every point
         # the tree finds within the k-th distance.
         ball = tree.query_ball_point(pts[i], dist[k - 1] * (1.0 + _TIE_SLACK))
-        cand, dist = _canonical_candidates(pts, i, np.asarray(ball, dtype=np.int64))
+        cand, dist = _canonical_candidates(
+            cloud, i, np.asarray(ball, dtype=np.int64)
+        )
     return cand[:k], dist[:k]
 
 
@@ -205,7 +231,7 @@ def knn_query_all(
         hi = min(lo + chunk, n_rows)
         sel = rows[lo:hi]
         _, cand = tree.query(pts[sel], k=m, workers=-1)
-        dist = np.sqrt(((pts[cand] - pts[sel][:, None, :]) ** 2).sum(axis=2))
+        dist = np.sqrt(_squared_distances(cloud, sel[:, None], cand))
         c, d = cand[:, 1:], dist[:, 1:]
         # Rows whose tree order is canonical and whose k-th distance is
         # clear of the last candidate's are final; the rest (ties,

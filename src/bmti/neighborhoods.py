@@ -18,6 +18,7 @@ the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,15 +42,12 @@ class NeighborGraph:
     ----------
     k : ndarray, shape (n,)
         Neighbourhood sizes counting the centre, so k[i]-1 neighbours listed.
-    neighbors : list of ndarray
-        neighbors[i] holds the k[i]-1 nearest neighbours of i, nearest first;
-        a view into edge_dst.
     radii : ndarray, shape (n,)
         Distance from i to its outermost listed neighbour.
     edge_src, edge_dst : ndarray, shape (E,)
-        All directed edges (i -> j for j in neighbors[i]), in point order
-        then neighbour order: a CSR edge list whose row i starts at
-        sum(k[:i] - 1).
+        All directed edges (i -> j for the k[i]-1 nearest neighbours j of
+        i), in point order then neighbour order, nearest first: a CSR edge
+        list whose row i starts at sum(k[:i] - 1).
     edge_shared : ndarray, shape (E,)
         Points shared by Omega_i and Omega_j other than i and j: the overlap
         count |Omega_i & Omega_j| less the two centres when the edge is
@@ -60,7 +58,6 @@ class NeighborGraph:
     """
 
     k: np.ndarray
-    neighbors: list[np.ndarray]
     radii: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
@@ -74,6 +71,12 @@ class NeighborGraph:
     @property
     def n_edges(self) -> int:
         return self.edge_src.shape[0]
+
+    @cached_property
+    def neighbors(self) -> list[np.ndarray]:
+        """neighbors[i] holds the k[i]-1 nearest neighbours of i, nearest
+        first: row i of the edge list, a view into edge_dst."""
+        return np.split(self.edge_dst, np.cumsum(self.k - 1)[:-1])
 
 
 def select_adaptive_k(
@@ -214,7 +217,6 @@ def build_neighbor_graph(
     counts = k - 1
     edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
     edge_dst = idx[:, : kmax - 1][np.arange(kmax - 1) < counts[:, None]]
-    neighbors = np.split(edge_dst, np.cumsum(counts)[:-1])
 
     # Membership matrix: row i flags Omega_i including the centre, as int8 so
     # that the row intersections move less data. Canonical (sorted, no
@@ -224,6 +226,7 @@ def build_neighbor_graph(
     member = sp.csr_matrix(
         (np.ones(col.shape[0], dtype=np.int8), (row, col)), shape=(n, n)
     )
+    del col, row
     member.sum_duplicates()
 
     # Overlap sums once per unordered pair (lo, hi), then scattered onto
@@ -233,9 +236,11 @@ def build_neighbor_graph(
     lo = np.minimum(edge_src, edge_dst)
     hi = np.maximum(edge_src, edge_dst)
     codes = lo * n + hi
+    del hi
     ucodes, inverse, multiplicity = np.unique(
         codes, return_inverse=True, return_counts=True
     )
+    del codes
     ulo = ucodes // n
     uhi = ucodes % n
     pts = cloud.points - cloud.points.mean(axis=0)
@@ -266,6 +271,7 @@ def build_neighbor_graph(
             moments[s:e, side, 1] = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
 
     geometry._run_batches(overlap_batch, n_pairs, batch)
+    del member, features, ulo, uhi, ucodes
 
     # Drop the two centres: x_dst adds a = |r|^2, x_src adds a = 0 (and is
     # shared only on mutual edges).
@@ -278,7 +284,6 @@ def build_neighbor_graph(
 
     return NeighborGraph(
         k=k.copy(),
-        neighbors=neighbors,
         radii=radii,
         edge_src=edge_src,
         edge_dst=edge_dst,
@@ -287,11 +292,25 @@ def build_neighbor_graph(
     )
 
 
+def edge_adjacency(
+    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+) -> sp.csr_matrix:
+    """n x n CSR matrix holding weights[e] at (src[e], dst[e]).
+
+    Rows come from the counts of src, in the edges' order within a row; a
+    stable sort by src, the identity on a CSR edge list, admits edges in any
+    order. Duplicate edges stay separate entries, which sparse arithmetic
+    and the component search read as their sum.
+    """
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((weights[order], dst[order], indptr), shape=(n, n))
+
+
 def edge_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Weakly-connected component label per point of a directed edge list."""
-    adj = sp.csr_matrix(
-        (np.ones(src.shape[0], dtype=np.int8), (src, dst)), shape=(n, n)
-    )
+    adj = edge_adjacency(n, src, dst, np.ones(src.shape[0]))
     _, labels = _cc(adj, directed=True, connection="weak")
     return labels
 

@@ -8,6 +8,13 @@ per-component constant vectors as kernel, so solutions are fixed to zero mean
 per connected component. solve_bmti is the one solver of that gauged system
 (solve_regularized at alpha = 1 calls it) and the one place that warns when
 the graph has several components.
+
+assemble_system reads the edge list as the rows of one CSR matrix W of the
+weights (neighborhoods.edge_adjacency): A = diag(deg) - (W + W^T), with deg
+and b summed by np.bincount and the component labels taken from W. The CG
+loop updates its iterates in place and takes its dot products with
+np.einsum, not BLAS, whose threads slow it severalfold when another process
+keeps a core busy.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .delta_f import DeltaFEdgeSet
 from .exceptions import (
@@ -27,7 +35,7 @@ from .exceptions import (
     StateError,
 )
 from .geometry import PointCloud, unit_ball_volume
-from .neighborhoods import NeighborGraph, edge_components
+from .neighborhoods import NeighborGraph, edge_adjacency
 
 UNCERTAINTY_CAP = 2000
 
@@ -69,24 +77,27 @@ def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
         raise NumericalError("edge weights must be finite and positive")
     src, dst = edges.src, edges.dst
 
-    rows = np.concatenate([src, dst, src, dst])
-    cols = np.concatenate([src, dst, dst, src])
-    vals = np.concatenate([w, w, -w, -w])
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    A.sum_duplicates()
-
-    b = np.zeros(n)
+    W = edge_adjacency(n, src, dst, w)
+    _, labels = connected_components(W, directed=True, connection="weak")
+    deg = np.bincount(src, w, minlength=n) + np.bincount(dst, w, minlength=n)
     wv = w * edges.delta_f
-    np.add.at(b, dst, wv)
-    np.subtract.at(b, src, wv)
-
-    labels = edge_components(n, src, dst)
+    b = np.bincount(dst, wv, minlength=n) - np.bincount(src, wv, minlength=n)
+    # Freed step by step: W with W^T, then W + W^T with A, are the two peaks.
+    off = W + W.T
+    del W
+    A = sp.diags(deg, format="csr") - off
     return SolverSystem(A=A, b=b, n_edges=edges.n_edges, component_labels=labels)
 
 
 def _center_per_component(x: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:
     means = np.bincount(labels, weights=x, minlength=counts.shape[0]) / counts
     x -= means[labels]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v summed by numpy's own loop, not BLAS, whose threads contend with
+    any other busy process."""
+    return float(np.einsum("i,i->", u, v))
 
 
 def _pcg(
@@ -104,42 +115,45 @@ def _pcg(
     if labels is not None:
         counts = np.bincount(labels).astype(np.float64)
 
-    b = b.copy()
+    r = b.copy()
     if labels is not None:
-        _center_per_component(b, labels, counts)
-    b_norm = float(np.linalg.norm(b))
+        _center_per_component(r, labels, counts)
+    b_norm = float(np.sqrt(_dot(r, r)))
     if b_norm == 0.0:
         return np.zeros(n), 0, 0.0
 
     x = np.zeros(n)
-    r = b.copy()
     z = inv_diag * r
     if labels is not None:
         _center_per_component(z, labels, counts)
     p = z.copy()
-    rz = float(r @ z)
-    res = float(np.linalg.norm(r)) / b_norm
+    step = np.empty(n)
+    rz = _dot(r, z)
+    res = 1.0
     it = 0
     while res > tol and it < max_iter:
         Ap = A @ p
-        pAp = float(p @ Ap)
+        pAp = _dot(p, Ap)
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise NumericalError("conjugate gradient broke down (p^T A p <= 0)")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        np.multiply(p, alpha, out=step)
+        x += step
+        Ap *= alpha
+        r -= Ap
         if labels is not None:
             _center_per_component(r, labels, counts)
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         if labels is not None:
             _center_per_component(z, labels, counts)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         if not np.isfinite(rz_new):
             raise NumericalError("NaN in conjugate-gradient iterates")
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         it += 1
-        res = float(np.linalg.norm(r)) / b_norm
+        res = float(np.sqrt(_dot(r, r))) / b_norm
     if res > tol:
         raise ConvergenceError(
             f"CG stopped at relative residual {res:.3e} after {it} iterations "

@@ -3,7 +3,8 @@
 Each function computes, for one point or one edge, straight from the
 definitions and the neighbour lists, an entry of what build_neighbor_graph,
 compute_gradient_field or build_delta_f_edges compute for all of them at
-once; dump_edges_rows writes `bmti estimate --dump-edges` one csv row at a
+once; laplacian_system adds up the solver's matrix one edge at a time;
+dump_edges_rows writes `bmti estimate --dump-edges` one csv row at a
 time. The tests compare the two.
 """
 
@@ -210,6 +211,27 @@ def delta_f_variance(
         raise ParameterError("directional standard deviations must be >= 0")
     eps2 = 0.25 * (eps_i * eps_i + eps_j * eps_j + 2.0 * pearson * eps_i * eps_j)
     return max(eps2, eps2_min)
+
+
+# Laplacian system.
+
+
+def laplacian_system(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Dense A and b of assemble_system, added up one edge at a time: edge
+    (i, j) with weight w = 1/eps2 adds w to A_ii and A_jj, -w to A_ij and
+    A_ji, w delta_f to b_j and -w delta_f to b_i."""
+    n = edges.n_points
+    A = np.zeros((n, n))
+    b = np.zeros(n)
+    for i, j, v, e2 in zip(edges.src, edges.dst, edges.delta_f, edges.eps2):
+        w = 1.0 / e2
+        A[i, i] += w
+        A[j, j] += w
+        A[i, j] -= w
+        A[j, i] -= w
+        b[j] += w * v
+        b[i] -= w * v
+    return A, b
 
 
 # Edge dump.

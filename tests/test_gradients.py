@@ -20,13 +20,14 @@ from bmti.neighborhoods import NeighborGraph
 
 
 def manual_graph(k, neighbors, radii):
-    """Graph stub for per-point unit cases; edge arrays left empty."""
+    """Graph stub for per-point unit cases: the edge list of the given
+    neighbour lists, shared-point arrays left empty."""
+    counts = [len(nb) for nb in neighbors]
     return NeighborGraph(
         k=np.asarray(k, dtype=np.int64),
-        neighbors=[np.asarray(nb, dtype=np.int64) for nb in neighbors],
         radii=np.asarray(radii, dtype=np.float64),
-        edge_src=np.empty(0, dtype=np.int64),
-        edge_dst=np.empty(0, dtype=np.int64),
+        edge_src=np.repeat(np.arange(len(neighbors), dtype=np.int64), counts),
+        edge_dst=np.concatenate(neighbors).astype(np.int64),
         edge_shared=np.empty(0, dtype=np.int64),
         edge_shared_moments=np.empty((0, 2)),
     )

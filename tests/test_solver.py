@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import neighbor_graph
+from oracles import laplacian_system
 
 from bmti.delta_f import DeltaFEdgeSet, build_delta_f_edges
 from bmti.exceptions import CapabilityError, ParameterError, StateError
 from bmti.geometry import PointCloud, unit_ball_volume
 from bmti.gradients import compute_gradient_field
+from bmti.neighborhoods import edge_components
 from bmti.solver import (
     assemble_system,
     estimate_uncertainties,
@@ -86,6 +90,69 @@ def test_row_sums_vanish(rng):
     A = assemble_system(edges).A.toarray()
     scale = np.abs(A).max()
     assert np.abs(A.sum(axis=1)).max() < 1e-9 * scale
+
+
+def subset(edges, sel, n=None):
+    """The edges at positions sel, in that order, on n points."""
+    return edge_set(
+        edges.src[sel], edges.dst[sel], edges.delta_f[sel], edges.eps2[sel],
+        edges.n_points if n is None else n,
+    )
+
+
+def assembly_case(rng, case):
+    """Edge sets in no row order: shuffled; every edge twice; two components
+    and a point without edges."""
+    base = random_instance(rng, 30)
+    perm = rng.permutation(base.n_edges)
+    if case == "shuffled":
+        return subset(base, perm)
+    if case == "duplicated":
+        return subset(base, np.concatenate([perm, perm[::-1]]))
+    other = random_instance(rng, 20)
+    joined = subset(base, perm, n=51)
+    return edge_set(
+        np.concatenate([joined.src, other.src + 30]),
+        np.concatenate([joined.dst, other.dst + 30]),
+        np.concatenate([joined.delta_f, other.delta_f]),
+        np.concatenate([joined.eps2, other.eps2]),
+        51,
+    )
+
+
+@pytest.mark.parametrize("case", ["shuffled", "duplicated", "disconnected"])
+def test_assembly_matches_edge_by_edge_oracle(rng, case):
+    edges = assembly_case(rng, case)
+    system = assemble_system(edges)
+    A = system.A.toarray()
+    want_A, want_b = laplacian_system(edges)
+    scale = np.abs(want_A).max()
+    assert np.abs(A - want_A).max() <= 1e-12 * scale
+    assert np.abs(system.b - want_b).max() <= 1e-12 * np.abs(want_b).max()
+    np.testing.assert_array_equal(A, A.T)
+    assert np.abs(A.sum(axis=1)).max() <= 1e-12 * scale
+    labels = edge_components(edges.n_points, edges.src, edges.dst)
+    np.testing.assert_array_equal(system.component_labels, labels)
+    assert labels.max() + 1 == (3 if case == "disconnected" else 1)
+
+
+def test_assembly_allocates_under_100_bytes_per_edge(rng):
+    # A CSR edge list like the pipeline's: rows in point order, 40 edges
+    # each, to random other points (so hardly any edge is mutual).
+    n, per_row = 5000, 40
+    src = np.repeat(np.arange(n), per_row)
+    dst = (src + rng.integers(1, n, size=src.shape[0])) % n
+    e = src.shape[0]
+    edges = edge_set(src, dst, rng.standard_normal(e), rng.uniform(0.2, 3.0, e), n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system = assemble_system(edges)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert system.A.shape == (n, n)
+    assert peak <= 100 * e, f"{peak / e:.0f} bytes per edge"
 
 
 def test_consistent_chain_rhs_in_column_space():
