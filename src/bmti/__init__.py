@@ -30,12 +30,12 @@ from .delta_f import (
     PullStats,
     build_delta_f_edges,
     calibration_report,
+    pull_statistics,
 )
 from .evaluation import (
     EvaluationReport,
     align_and_mae,
     parity_export,
-    pull_statistics,
     run_benchmark,
     write_report_csv,
     write_report_json,
@@ -62,7 +62,6 @@ from .intrinsic_dim import IntrinsicDim, estimate_id_twonn
 from .neighborhoods import (
     NeighborGraph,
     build_neighbor_graph,
-    connected_components,
     select_adaptive_k,
 )
 from .pipeline import BmtiConfig, BmtiResult, run_bmti
@@ -73,7 +72,6 @@ from .solver import (
     estimate_uncertainties,
     knn_anchor,
     solve_bmti,
-    solve_regularized,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +106,6 @@ __all__ = [
     "build_neighbor_graph",
     "calibration_report",
     "compute_gradient_field",
-    "connected_components",
     "estimate_id_twonn",
     "estimate_uncertainties",
     "generate_dataset",
@@ -128,7 +125,6 @@ __all__ = [
     "select_adaptive_k",
     "silverman_bandwidth",
     "solve_bmti",
-    "solve_regularized",
     "swiss_roll_embed",
     "unit_ball_volume",
     "write_report_csv",

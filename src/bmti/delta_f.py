@@ -7,7 +7,8 @@ the two neighbourhoods share: it is the correlation of the two mean shifts
 projected on the edge, read from the shared-point moments of the graph. It
 is positive for nearly coincident neighbourhoods and turns negative when the
 shared lens is thin, since a point in the lens pulls each mean toward the
-other end.
+other end. pull_statistics summarizes standardized residuals against a
+truth; calibration_report applies it to the edges.
 """
 
 from __future__ import annotations
@@ -158,6 +159,29 @@ def build_delta_f_edges(
     )
 
 
+def pull_statistics(values, errors, truth) -> tuple[float, float, float]:
+    """Moments and KS distance of the standardized residuals.
+
+    z = (values - truth) / errors; returns (mean, std with ddof 1, KS
+    distance to the standard normal), the std of a single residual being 0.
+    Calibrated estimates give mean 0, std 1, small KS.
+    """
+    v, e, t = (np.asarray(a, dtype=np.float64).ravel() for a in (values, errors, truth))
+    for name, arr in (("values", v), ("errors", e), ("truth", t)):
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{name} contains NaN or Inf")
+    if not (v.shape == e.shape == t.shape):
+        raise ParameterError("values, errors and truth must have equal lengths")
+    if v.size == 0:
+        raise DataError("cannot compute pull statistics of empty arrays")
+    if np.any(e <= 0.0):
+        raise ParameterError("errors must be strictly positive")
+    z = (v - t) / e
+    std = float(z.std(ddof=1)) if z.size > 1 else 0.0
+    ks = float(kstest(z, "norm").statistic)
+    return float(z.mean()), std, ks
+
+
 def calibration_report(edges: DeltaFEdgeSet, cloud: PointCloud) -> PullStats:
     """Pull statistics of the edge estimates against per-point ground truth.
 
@@ -167,11 +191,6 @@ def calibration_report(edges: DeltaFEdgeSet, cloud: PointCloud) -> PullStats:
     """
     if cloud.truth_F is None:
         raise ParameterError("cloud carries no ground truth")
-    if edges.n_edges == 0:
-        raise DataError("empty edge set")
     truth = cloud.truth_F[edges.dst] - cloud.truth_F[edges.src]
-    z = (edges.delta_f - truth) / np.sqrt(edges.eps2)
-    ks = kstest(z, "norm").statistic
-    return PullStats(
-        mean=float(z.mean()), std=float(z.std(ddof=1)), ks_distance=float(ks), n=z.shape[0]
-    )
+    mean, std, ks = pull_statistics(edges.delta_f, np.sqrt(edges.eps2), truth)
+    return PullStats(mean=mean, std=std, ks_distance=ks, n=edges.n_edges)

@@ -14,7 +14,6 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import kstest
 
 from .baselines import gkde_density, knn_baseline
 from .datasets import DATASET_DEFAULTS, generate_dataset
@@ -103,27 +102,6 @@ def parity_export(predicted, truth, path) -> None:
         writer.writerow(["F_true", "F_hat_aligned"])
         for ti, pi in zip(t, p + offset):
             writer.writerow([f"{ti:.17g}", f"{pi:.17g}"])
-
-
-def pull_statistics(values, errors, truth) -> tuple[float, float, float]:
-    """Moments and KS distance of the standardized residuals.
-
-    z = (values - truth) / errors; returns (mean, std, KS distance to the
-    standard normal). Calibrated estimates give mean 0, std 1, small KS.
-    """
-    v = _as_finite("values", values)
-    e = _as_finite("errors", errors)
-    t = _as_finite("truth", truth)
-    if not (v.shape == e.shape == t.shape):
-        raise ParameterError("values, errors and truth must have equal lengths")
-    if v.size == 0:
-        raise DataError("cannot compute pull statistics of empty arrays")
-    if np.any(e <= 0.0):
-        raise ParameterError("errors must be strictly positive")
-    z = (v - t) / e
-    std = float(z.std(ddof=1)) if z.size > 1 else 0.0
-    ks = float(kstest(z, "norm").statistic)
-    return float(z.mean()), std, ks
 
 
 def _estimate_cell(

@@ -90,5 +90,4 @@ def compute_gradient_field(
     scale = (d + 2.0) / (radii * radii)
     g = -scale[:, None] * shift
     var_g = (scale * scale / ((m - 1.0) * m))[:, None, None] * scatter
-    var_g = 0.5 * (var_g + np.swapaxes(var_g, 1, 2))
     return GradientField(g=g, var_g=var_g, mean_shift=shift, scale=scale)

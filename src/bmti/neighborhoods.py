@@ -11,8 +11,9 @@ are computed once per unordered pair by scipy's sparse row intersection, in
 batches spread over the CPUs (geometry._run_batches). Both stages read the
 run's kNN table (geometry.knn_query_all). The table may start narrower than
 the adaptive-k cap: select_adaptive_k widens a row to the cap only when its
-test is about to read past the row's width, and hands the grown table on to
-the graph.
+test is about to read past the row's width, and hands on to the graph the
+max(k) - 1 columns of the grown table that the graph reads. The graph's
+component labels come with the assembled system (solver.assemble_system).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components as _cc
 
 from . import geometry
 from .exceptions import DataError, ParameterError
@@ -109,9 +109,10 @@ def select_adaptive_k(
     start table.
 
     Returns (k, idx, dist): the integer array k, with
-    k_min <= k[i] <= cap, and the table, whose row i is valid through at
-    least column k[i] - 2 (the k[i] - 1 neighbours the graph reads). Columns
-    past a row's width are unset.
+    k_min <= k[i] <= cap, and a copy of the table's first max(k) - 1
+    columns, the ones the graph reads, so that the working table is freed on
+    return. Row i is valid through at least column k[i] - 2 (its k[i] - 1
+    neighbours); columns past a row's width are unset.
     """
     n = cloud.n_points
     if k_min < 4:
@@ -184,7 +185,12 @@ def select_adaptive_k(
         if active.size == 0:
             break
         k_arr[active] = k
-    return k_arr, table_idx, table_dist
+    # The working idx is freed before dist is copied: the caller still holds
+    # the start table, and copying both at once would raise the run's peak.
+    width = int(k_arr.max()) - 1
+    idx_out = table_idx[:, :width].copy()
+    del table_idx
+    return k_arr, idx_out, table_dist[:, :width].copy()
 
 
 def build_neighbor_graph(
@@ -290,31 +296,3 @@ def build_neighbor_graph(
         edge_shared=edge_shared,
         edge_shared_moments=edge_shared_moments,
     )
-
-
-def edge_adjacency(
-    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
-) -> sp.csr_matrix:
-    """n x n CSR matrix holding weights[e] at (src[e], dst[e]).
-
-    Rows come from the counts of src, in the edges' order within a row; a
-    stable sort by src, the identity on a CSR edge list, admits edges in any
-    order. Duplicate edges stay separate entries, which sparse arithmetic
-    and the component search read as their sum.
-    """
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((weights[order], dst[order], indptr), shape=(n, n))
-
-
-def edge_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Weakly-connected component label per point of a directed edge list."""
-    adj = edge_adjacency(n, src, dst, np.ones(src.shape[0]))
-    _, labels = _cc(adj, directed=True, connection="weak")
-    return labels
-
-
-def connected_components(graph: NeighborGraph) -> np.ndarray:
-    """Weakly-connected component label per point."""
-    return edge_components(graph.n_points, graph.edge_src, graph.edge_dst)

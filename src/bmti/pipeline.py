@@ -4,14 +4,15 @@ run_bmti wires the stages together for production use; each stage remains
 available separately for inspection and testing. A run queries one kNN table
 at a start width of _START_WIDTH columns: TwoNN reads its first two columns,
 adaptive k widens to the cap only the rows its test reads past that width,
-and the graph reads the grown table. The Laplacian system is assembled once:
-solve_bmti solves it at alpha = 1, and solve_regularized blends it with the
-kNN anchor below 1.
+and the graph reads the grown table. The Laplacian system is assembled once
+and solved once, by solve_bmti at any alpha. BmtiConfig checks every field
+when it is made, so a bad setting fails before any stage runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .solver import (
     estimate_uncertainties,
     knn_anchor,
     solve_bmti,
-    solve_regularized,
 )
 
 # Columns of the kNN table queried for every point; adaptive k widens the
@@ -43,7 +43,7 @@ from .solver import (
 _START_WIDTH = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class BmtiConfig:
     """Pipeline knobs; the defaults are the production settings.
 
@@ -51,7 +51,9 @@ class BmtiConfig:
     alpha blends the edge likelihood with the pointwise anchor (1 = pure
     edge integration, gauged per component; < 1 adds the anchor and needs
     no gauge). uncertainties adds dense per-point variances (small problems
-    only, alpha = 1 only).
+    only, alpha = 1 only). Every field is checked when the config is made:
+    a value out of range raises ParameterError, and a non-number where a
+    number belongs TypeError.
     """
 
     id_value: float | None = None
@@ -63,6 +65,37 @@ class BmtiConfig:
     cg_max_iter: int | None = None
     uncertainties: bool = False
     eps2_min: float = EPS2_MIN
+
+    def __post_init__(self):
+        def integer(value) -> bool:
+            return isinstance(value, Integral) and not isinstance(value, bool)
+
+        if self.id_value is not None and not 0.0 < self.id_value < np.inf:
+            raise ParameterError(f"id_value must be positive, got {self.id_value}")
+        if not (integer(self.k_min) and self.k_min >= 4):
+            raise ParameterError(f"k_min must be an integer >= 4, got {self.k_min!r}")
+        if not (integer(self.k_max) and self.k_max >= self.k_min):
+            raise ParameterError(
+                f"k_max must be an integer >= k_min, got {self.k_max!r}"
+            )
+        if not self.lr_threshold > 0.0:
+            raise ParameterError(
+                f"lr_threshold must be positive, got {self.lr_threshold}"
+            )
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not 0.0 < self.cg_tol < np.inf:
+            raise ParameterError(f"cg_tol must be positive, got {self.cg_tol}")
+        if self.cg_max_iter is not None and not (
+            integer(self.cg_max_iter) and self.cg_max_iter >= 1
+        ):
+            raise ParameterError(
+                f"cg_max_iter must be a positive integer, got {self.cg_max_iter!r}"
+            )
+        if self.uncertainties and self.alpha != 1.0:
+            raise ParameterError("uncertainties require alpha = 1")
+        if not 0.0 < self.eps2_min < np.inf:
+            raise ParameterError(f"eps2_min must be positive, got {self.eps2_min}")
 
 
 @dataclass
@@ -87,47 +120,37 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     Stages: one kNN table at a start width, TwoNN intrinsic dimension
     (unless fixed), adaptive neighbourhood sizes (widening the rows of the
     table they read further), directed graph with overlaps, mean-shift
-    gradients with covariances, per-edge difference estimates, and the
-    global solve (pure at alpha = 1, anchor-blended otherwise).
+    gradients with covariances, per-edge difference estimates, the
+    Laplacian assembly, and one global solve (pure at alpha = 1,
+    anchor-blended otherwise).
     """
     cfg = config if config is not None else BmtiConfig()
-    if cfg.id_value is not None:
-        d = float(cfg.id_value)
-        if not np.isfinite(d) or d <= 0.0:
-            raise ParameterError(f"id_value must be positive, got {cfg.id_value}")
-    if cfg.uncertainties and cfg.alpha != 1.0:
-        raise ParameterError("uncertainties require alpha = 1")
-
     cap = min(cfg.k_max, cloud.n_points - 1)
     idx, dist = geometry.knn_query_all(cloud, max(1, min(_START_WIDTH, cap - 1)))
     id_est = None
     if cfg.id_value is None:
         id_est = estimate_id_twonn(dist, cloud.embed_dim)
         d = id_est.d
+    else:
+        d = float(cfg.id_value)
 
     k, idx, dist = select_adaptive_k(
         cloud, idx, dist, d,
         lr_threshold=cfg.lr_threshold, k_min=cfg.k_min, k_max=cfg.k_max,
     )
-    # The graph reads max(k) - 1 columns. Copying them lets the grown table be
-    # freed before the overlap kernel, and the rest before the gradients.
-    width = int(k.max()) - 1
-    idx, dist = idx[:, :width].copy(), dist[:, :width].copy()
     graph = build_neighbor_graph(cloud, k, idx, dist)
+    # Freed before the gradient and edge stages, whose peaks it would add to.
     del idx, dist
     gradients = compute_gradient_field(graph, cloud, d)
     edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
 
-    if cfg.alpha == 1.0:
-        system = assemble_system(edges)
-        estimate = solve_bmti(system, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter)
-        if cfg.uncertainties:
-            estimate.var_F = estimate_uncertainties(system)
-    else:
-        f0, h = knn_anchor(graph, cloud, d)
-        estimate = solve_regularized(
-            edges, f0, h, cfg.alpha, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter
-        )
+    system = assemble_system(edges)
+    estimate = solve_bmti(
+        system, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
+        alpha=cfg.alpha, anchor=knn_anchor(graph, cloud, d),
+    )
+    if cfg.uncertainties:
+        estimate.var_F = estimate_uncertainties(system)
 
     return BmtiResult(
         estimate=estimate, id_est=id_est, d_used=d,

@@ -5,14 +5,15 @@ directed edge (i, j) with difference estimate v and precision w = 1/eps2
 contributes w to both diagonal entries, -w to both off-diagonal entries of A,
 and (+w v, -w v) to (b_j, b_i). A is symmetric positive semidefinite with the
 per-component constant vectors as kernel, so solutions are fixed to zero mean
-per connected component. solve_bmti is the one solver of that gauged system
-(solve_regularized at alpha = 1 calls it) and the one place that warns when
-the graph has several components.
+per connected component. Below alpha = 1 the solve blends A F = b with a
+pointwise kNN likelihood (knn_anchor), which makes the system positive
+definite. solve_bmti is the one solver, at every alpha, of the one assembled
+system, and the one place that warns when the graph has several components.
 
 assemble_system reads the edge list as the rows of one CSR matrix W of the
-weights (neighborhoods.edge_adjacency): A = diag(deg) - (W + W^T), with deg
-and b summed by np.bincount and the component labels taken from W. The CG
-loop updates its iterates in place and takes its dot products with
+weights: A = diag(deg) - (W + W^T), with deg and b summed by np.bincount
+and the component labels, the only ones a run computes, taken from W. The
+CG loop updates its iterates in place and takes its dot products with
 np.einsum, not BLAS, whose threads slow it severalfold when another process
 keeps a core busy.
 """
@@ -35,7 +36,7 @@ from .exceptions import (
     StateError,
 )
 from .geometry import PointCloud, unit_ball_volume
-from .neighborhoods import NeighborGraph, edge_adjacency
+from .neighborhoods import NeighborGraph
 
 UNCERTAINTY_CAP = 2000
 
@@ -66,6 +67,22 @@ class LogDensityEstimate:
     residual: float
 
 
+def _edge_adjacency(
+    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+) -> sp.csr_matrix:
+    """n x n CSR matrix holding weights[e] at (src[e], dst[e]).
+
+    Rows come from the counts of src, in the edges' order within a row; a
+    stable sort by src, the identity on a CSR edge list, admits edges in any
+    order. Duplicate edges stay separate entries, which sparse arithmetic
+    and the component search read as their sum.
+    """
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((weights[order], dst[order], indptr), shape=(n, n))
+
+
 def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
     """Build the PSD Laplacian system from the edge set, weighting each edge
     by its precision 1/eps2."""
@@ -77,7 +94,7 @@ def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
         raise NumericalError("edge weights must be finite and positive")
     src, dst = edges.src, edges.dst
 
-    W = edge_adjacency(n, src, dst, w)
+    W = _edge_adjacency(n, src, dst, w)
     _, labels = connected_components(W, directed=True, connection="weak")
     deg = np.bincount(src, w, minlength=n) + np.bincount(dst, w, minlength=n)
     wv = w * edges.delta_f
@@ -168,31 +185,59 @@ def solve_bmti(
     system: SolverSystem,
     tol: float = 1e-8,
     max_iter: int | None = None,
+    alpha: float = 1.0,
+    anchor: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LogDensityEstimate:
-    """Solve A F = b by preconditioned conjugate gradient.
+    """Solve the assembled system by preconditioned conjugate gradient.
 
-    The constant vector per connected component spans the kernel of A, so
-    iterates are kept mean-zero per component (the gauge): returned F has
-    zero mean over each component, and a graph of several components warns
-    that their relative offsets are undetermined. Relative residual
-    ||A F - b|| / ||b|| must reach tol within max_iter (default 10 n)
-    iterations.
+    alpha = 1 solves A F = b. The constant vector per connected component
+    spans the kernel of A, so iterates are kept mean-zero per component (the
+    gauge): returned F has zero mean over each component, and a graph of
+    several components warns that their relative offsets are undetermined.
+
+    alpha < 1 blends in the pointwise anchor = (F0, h) of knn_anchor, which
+    it requires, and solves (alpha A + (1-alpha) diag(h)) F = alpha b +
+    (1-alpha) h F0. For alpha > 0 that system is positive definite, needs no
+    gauge, and the anchor supplies absolute normalization across
+    components; alpha = 0 returns F0 exactly.
+
+    Relative residual ||M F - rhs|| / ||rhs|| must reach tol within max_iter
+    (default 10 n) iterations.
     """
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
+    if not tol > 0.0:
+        raise ParameterError(f"tol must be positive, got {tol}")
     n = system.n_points
-    n_comp = int(system.component_labels.max()) + 1
-    if n_comp > 1:
-        warnings.warn(
-            f"neighbourhood graph has {n_comp} components; offsets between "
-            "components are undetermined (consider alpha < 1)",
-            stacklevel=2,
-        )
     if max_iter is None:
         max_iter = 10 * n
-    F, it, res = _pcg(system.A, system.b, tol, max_iter, system.component_labels)
+    if alpha == 1.0:
+        n_comp = int(system.component_labels.max()) + 1
+        if n_comp > 1:
+            warnings.warn(
+                f"neighbourhood graph has {n_comp} components; offsets between "
+                "components are undetermined (consider alpha < 1)",
+                stacklevel=2,
+            )
+        F, it, res = _pcg(system.A, system.b, tol, max_iter, system.component_labels)
+    else:
+        if anchor is None:
+            raise ParameterError("alpha < 1 needs the pointwise anchor (F0, h)")
+        f0 = np.asarray(anchor[0], dtype=np.float64)
+        h = np.asarray(anchor[1], dtype=np.float64)
+        if f0.shape != (n,) or h.shape != (n,):
+            raise ParameterError("anchor arrays must have one entry per point")
+        if np.any(h <= 0.0):
+            raise ParameterError("anchor curvatures must be positive")
+        if alpha == 0.0:
+            F, it, res = f0.copy(), 0, 0.0
+        else:
+            M = (alpha * system.A + sp.diags((1.0 - alpha) * h)).tocsr()
+            rhs = alpha * system.b + (1.0 - alpha) * h * f0
+            F, it, res = _pcg(M, rhs, tol, max_iter, labels=None)
     return LogDensityEstimate(
-        F=F, var_F=None, method="bmti", alpha=1.0, cg_iterations=it, residual=res
+        F=F, var_F=None, method="bmti", alpha=float(alpha),
+        cg_iterations=it, residual=res,
     )
 
 
@@ -217,7 +262,7 @@ def estimate_uncertainties(system: SolverSystem, cap: int = UNCERTAINTY_CAP) -> 
 def knn_anchor(
     graph: NeighborGraph, cloud: PointCloud, d: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise anchor for the regularized solve.
+    """Pointwise anchor (F0, h) of the solve below alpha = 1.
 
     F0_i = -log((k_i - 1) / (n omega_d r_i^d)) is the adaptive-neighbourhood
     density estimate; the curvature h_i = k_i is the second derivative of the
@@ -230,50 +275,3 @@ def knn_anchor(
     f0 = np.log(float(n)) + log_vol - np.log(graph.k - 1.0)
     h = graph.k.astype(np.float64)
     return f0, h
-
-
-def solve_regularized(
-    edges: DeltaFEdgeSet,
-    anchor_f0: np.ndarray,
-    anchor_h: np.ndarray,
-    alpha: float,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> LogDensityEstimate:
-    """Blend the edge-difference likelihood with a pointwise anchor.
-
-    Solves (alpha A + (1-alpha) diag(h)) F = alpha b + (1-alpha) h F0.
-    alpha = 1 is solve_bmti (gauge per component, with a warning if the
-    graph is disconnected); alpha = 0 returns the anchor exactly. For
-    0 < alpha < 1 the system is positive definite, needs no gauge, and the
-    anchor supplies absolute normalization across components.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
-    n = edges.n_points
-    f0 = np.asarray(anchor_f0, dtype=np.float64)
-    h = np.asarray(anchor_h, dtype=np.float64)
-    if f0.shape != (n,) or h.shape != (n,):
-        raise ParameterError("anchor arrays must have one entry per point")
-    if np.any(h <= 0.0):
-        raise ParameterError("anchor curvatures must be positive")
-
-    if alpha == 0.0:
-        return LogDensityEstimate(
-            F=f0.copy(), var_F=None, method="bmti", alpha=0.0,
-            cg_iterations=0, residual=0.0,
-        )
-
-    system = assemble_system(edges)
-    if alpha == 1.0:
-        return solve_bmti(system, tol=tol, max_iter=max_iter)
-
-    M = (alpha * system.A + sp.diags((1.0 - alpha) * h)).tocsr()
-    rhs = alpha * system.b + (1.0 - alpha) * h * f0
-    if max_iter is None:
-        max_iter = 10 * n
-    F, it, res = _pcg(M, rhs, tol, max_iter, labels=None)
-    return LogDensityEstimate(
-        F=F, var_F=None, method="bmti", alpha=float(alpha),
-        cg_iterations=it, residual=res,
-    )

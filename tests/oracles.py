@@ -3,7 +3,8 @@
 Each function computes, for one point or one edge, straight from the
 definitions and the neighbour lists, an entry of what build_neighbor_graph,
 compute_gradient_field or build_delta_f_edges compute for all of them at
-once; laplacian_system adds up the solver's matrix one edge at a time;
+once; laplacian_system adds up the solver's matrix one edge at a time, and
+component_labels joins the solver's components one edge at a time;
 dump_edges_rows writes `bmti estimate --dump-edges` one csv row at a
 time. The tests compare the two.
 """
@@ -232,6 +233,23 @@ def laplacian_system(edges) -> tuple[np.ndarray, np.ndarray]:
         b[j] += w * v
         b[i] -= w * v
     return A, b
+
+
+def component_labels(n: int, src, dst) -> np.ndarray:
+    """Weakly connected component of every point of a directed edge list, by
+    union-find, numbered in the order of each component's lowest point."""
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(np.asarray(src).tolist(), np.asarray(dst).tolist()):
+        parent[root(i)] = root(j)
+    numbers: dict[int, int] = {}
+    return np.array([numbers.setdefault(root(i), len(numbers)) for i in range(n)])
 
 
 # Edge dump.

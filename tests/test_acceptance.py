@@ -21,14 +21,12 @@ from bmti.delta_f import DeltaFEdgeSet, build_delta_f_edges, calibration_report
 from bmti.evaluation import align_and_mae
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
-from bmti.neighborhoods import connected_components
 from bmti.pipeline import BmtiConfig, run_bmti
 from bmti.solver import (
     assemble_system,
     estimate_uncertainties,
     knn_anchor,
     solve_bmti,
-    solve_regularized,
 )
 
 SEEDS = (0, 1, 2)
@@ -451,20 +449,21 @@ def healing_cells():
         d = twonn(cloud).d
         k = adaptive_k(cloud, d)
         graph = neighbor_graph(cloud, k)
-        labels = connected_components(graph)
         gradients = compute_gradient_field(graph, cloud, d)
-        edges = build_delta_f_edges(graph, gradients, cloud)
-        f0, h = knn_anchor(graph, cloud, d)
+        system = assemble_system(build_delta_f_edges(graph, gradients, cloud))
+        anchor = knn_anchor(graph, cloud, d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            system = assemble_system(edges)
-            pure = solve_bmti(system)
+            F = {
+                alpha: solve_bmti(system, alpha=alpha, anchor=anchor).F
+                for alpha in (0.0, 0.7, 1.0)
+            }
         rows.append(
             {
-                "components": int(labels.max()) + 1,
-                "mae_a0": _mae(solve_regularized(edges, f0, h, 0.0).F, cloud.truth_F),
-                "mae_a07": _mae(solve_regularized(edges, f0, h, 0.7).F, cloud.truth_F),
-                "mae_a1": _mae(pure.F, cloud.truth_F),
+                "components": int(system.component_labels.max()) + 1,
+                "mae_a0": _mae(F[0.0], cloud.truth_F),
+                "mae_a07": _mae(F[0.7], cloud.truth_F),
+                "mae_a1": _mae(F[1.0], cloud.truth_F),
             }
         )
     return rows

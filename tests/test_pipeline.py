@@ -1,5 +1,7 @@
-"""run_bmti end to end: one kNN table, grown by rows, and one assembly per
-run, same F as the stages by hand and on any thread count or batch size."""
+"""run_bmti end to end: a config checked before any stage, one kNN table,
+grown by rows, and one assembly and one solve per run, same F as the stages
+by hand and on any thread count or batch size, and invariant under point
+permutations, isometries and rescaling."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbor_graph, twonn
+from conftest import count_knn_queries, neighbor_graph, twonn
 
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
@@ -20,7 +22,7 @@ from bmti.delta_f import build_delta_f_edges
 from bmti.exceptions import BmtiError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
-from bmti.neighborhoods import LR_THRESHOLD, connected_components, select_adaptive_k
+from bmti.neighborhoods import LR_THRESHOLD, select_adaptive_k
 from bmti.pipeline import BmtiConfig, run_bmti
 from bmti.solver import assemble_system, solve_bmti
 
@@ -144,6 +146,39 @@ def test_run_bmti_equivariant_under_point_permutation(dataset, seed, perm_seed):
     np.testing.assert_allclose(moved.F - moved.F.mean(), want, rtol=0, atol=1e-7)
 
 
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    dataset=st.sampled_from(sorted(_PERMUTED_SIZES)),
+    seed=st.integers(0, 2**16),
+    move_seed=st.integers(0, 2**16),
+    dyadic=st.sampled_from([0.125, 0.5, 2.0, 16.0]),
+)
+def test_run_bmti_invariant_under_isometry_and_rescaling(
+    dataset, seed, move_seed, dyadic
+):
+    cloud = generate_dataset(dataset, n=_PERMUTED_SIZES[dataset], seed=seed)
+    rng = np.random.default_rng(move_seed)
+    q, _ = np.linalg.qr(rng.standard_normal((cloud.embed_dim, cloud.embed_dim)))
+    shift = rng.uniform(-5.0, 5.0, size=cloud.embed_dim)
+    cfg = BmtiConfig(cg_tol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        base = run_bmti(cloud, cfg)
+        scaled = run_bmti(PointCloud(points=cloud.points * dyadic), cfg)
+        moved = [
+            run_bmti(PointCloud(points=cloud.points @ q.T + shift), cfg),
+            run_bmti(PointCloud(points=cloud.points * 3.7), cfg),
+        ]
+    # A power of two scales every distance, gradient and edge term exactly,
+    # so F is unchanged to the bit; other maps change distances by rounding.
+    assert np.array_equal(scaled.graph.k, base.graph.k)
+    assert np.array_equal(scaled.F, base.F)
+    want = base.F - base.F.mean()
+    for other in moved:
+        assert np.array_equal(other.graph.k, base.graph.k)
+        np.testing.assert_allclose(other.F - other.F.mean(), want, rtol=0, atol=1e-9)
+
+
 def test_results_independent_of_threads_and_batches(monkeypatch):
     cloud = generate_dataset("mb2d", n=600, seed=4)
 
@@ -183,12 +218,12 @@ def test_disconnected_graph_warns_once_and_assembles_once(monkeypatch):
     pts = np.vstack(
         [rng.standard_normal((300, 2)), rng.standard_normal((300, 2)) + 500.0]
     )
-    calls = []
+    systems = []
     assemble = solver.assemble_system
 
     def counted(edges):
-        calls.append(edges.n_edges)
-        return assemble(edges)
+        systems.append(assemble(edges))
+        return systems[-1]
 
     monkeypatch.setattr(pipeline, "assemble_system", counted)
     monkeypatch.setattr(solver, "assemble_system", counted)
@@ -200,14 +235,69 @@ def test_disconnected_graph_warns_once_and_assembles_once(monkeypatch):
         if issubclass(w.category, UserWarning) and "components" in str(w.message)
     ]
     assert len(hits) == 1
-    assert len(calls) == 1
-    labels = connected_components(result.graph)
-    assert np.unique(labels).size == 2
+    assert len(systems) == 1
+    labels = systems[0].component_labels
+    np.testing.assert_array_equal(labels, np.repeat([0, 1], 300))
     for c in (0, 1):
         assert abs(result.F[labels == c].mean()) < 1e-8
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0])
+def test_one_assembly_and_one_solve_at_every_alpha(monkeypatch, alpha):
+    calls = []
+
+    def counting(name):
+        fn = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("assemble_system", "solve_bmti"):
+        monkeypatch.setattr(pipeline, name, counting(name))
+        monkeypatch.setattr(solver, name, counting(name))
+    cloud = generate_dataset("gauss2d", n=300, seed=2)
+    result = run_bmti(cloud, BmtiConfig(alpha=alpha))
+    assert calls == ["assemble_system", "solve_bmti"]
+    assert result.estimate.alpha == alpha
 
 
 def test_uncertainties_need_pure_integration():
     cloud = generate_dataset("gauss2d", n=200, seed=1)
     with pytest.raises(ParameterError, match="alpha"):
         run_bmti(cloud, BmtiConfig(alpha=0.5, uncertainties=True))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"id_value": 0.0},
+        {"id_value": float("nan")},
+        {"k_min": 3},
+        {"k_min": 6.0},
+        {"k_max": 3},
+        {"lr_threshold": 0.0},
+        {"alpha": 1.5},
+        {"alpha": float("nan")},
+        {"cg_tol": 0.0},
+        {"alpha": 0.5, "cg_tol": 0.0},
+        {"cg_max_iter": 0},
+        {"eps2_min": 0.0},
+    ],
+    ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
+)
+def test_config_rejects_bad_fields_before_any_stage(monkeypatch, fields):
+    widths = count_knn_queries(monkeypatch)
+    cloud = generate_dataset("gauss2d", n=400, seed=0)
+    # The last field named is the bad one.
+    with pytest.raises(ParameterError, match=list(fields)[-1]):
+        run_bmti(cloud, BmtiConfig(**fields))
+    assert widths == []
+
+
+def test_config_is_frozen():
+    cfg = BmtiConfig()
+    with pytest.raises(AttributeError):
+        cfg.alpha = 0.5

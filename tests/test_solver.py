@@ -8,19 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import neighbor_graph
-from oracles import laplacian_system
+from oracles import component_labels, laplacian_system
 
 from bmti.delta_f import DeltaFEdgeSet, build_delta_f_edges
 from bmti.exceptions import CapabilityError, ParameterError, StateError
 from bmti.geometry import PointCloud, unit_ball_volume
 from bmti.gradients import compute_gradient_field
-from bmti.neighborhoods import edge_components
 from bmti.solver import (
     assemble_system,
     estimate_uncertainties,
     knn_anchor,
     solve_bmti,
-    solve_regularized,
 )
 
 
@@ -131,7 +129,7 @@ def test_assembly_matches_edge_by_edge_oracle(rng, case):
     assert np.abs(system.b - want_b).max() <= 1e-12 * np.abs(want_b).max()
     np.testing.assert_array_equal(A, A.T)
     assert np.abs(A.sum(axis=1)).max() <= 1e-12 * scale
-    labels = edge_components(edges.n_points, edges.src, edges.dst)
+    labels = component_labels(edges.n_points, edges.src, edges.dst)
     np.testing.assert_array_equal(system.component_labels, labels)
     assert labels.max() + 1 == (3 if case == "disconnected" else 1)
 
@@ -272,16 +270,19 @@ def test_regularized_limits(rng):
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.full(60, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, field, cloud)
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
 
-    anchor_only = solve_regularized(edges, f0, h, 0.0)
+    anchor_only = solve_bmti(system, alpha=0.0, anchor=(f0, h))
     np.testing.assert_array_equal(anchor_only.F, f0)
     assert anchor_only.alpha == 0.0
+    assert anchor_only.cg_iterations == 0
 
-    pure = solve_regularized(edges, f0, h, 1.0, tol=1e-12)
-    direct = solve_bmti(assemble_system(edges), tol=1e-12)
-    np.testing.assert_allclose(pure.F, direct.F, atol=1e-9)
+    # At alpha = 1 the anchor is not read.
+    pure = solve_bmti(system, tol=1e-12, alpha=1.0, anchor=(f0, h))
+    direct = solve_bmti(system, tol=1e-12)
+    np.testing.assert_array_equal(pure.F, direct.F)
+    assert pure.alpha == 1.0
 
 
 def test_regularized_blend_matches_dense(rng):
@@ -289,11 +290,11 @@ def test_regularized_blend_matches_dense(rng):
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.full(40, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, field, cloud)
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
     alpha = 0.7
-    est = solve_regularized(edges, f0, h, alpha, tol=1e-12)
-    system = assemble_system(edges)
+    est = solve_bmti(system, tol=1e-12, alpha=alpha, anchor=(f0, h))
+    assert est.alpha == alpha
     M = alpha * system.A.toarray() + np.diag((1.0 - alpha) * h)
     rhs = alpha * system.b + (1.0 - alpha) * h * f0
     np.testing.assert_allclose(est.F, np.linalg.solve(M, rhs), atol=1e-8)
@@ -305,11 +306,12 @@ def test_regularized_disconnected_warns(rng):
     cloud = PointCloud(points=np.vstack([a, b]))
     graph = neighbor_graph(cloud, np.full(40, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, field, cloud)
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
     with pytest.warns(UserWarning, match="components"):
-        est = solve_regularized(edges, f0, h, 1.0)
-    labels = assemble_system(edges).component_labels
+        est = solve_bmti(system, alpha=1.0, anchor=(f0, h))
+    labels = system.component_labels
+    np.testing.assert_array_equal(labels, np.repeat([0, 1], 20))
     for c in (0, 1):
         assert abs(est.F[labels == c].mean()) < 1e-8
 
@@ -319,13 +321,19 @@ def test_regularized_guards(rng):
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.full(20, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, field, cloud)
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
-    with pytest.raises(ParameterError):
-        solve_regularized(edges, f0, h, 1.5)
-    with pytest.raises(ParameterError):
-        solve_regularized(edges, f0[:-1], h[:-1], 0.5)
-    with pytest.raises(ParameterError):
-        solve_regularized(edges, f0, np.zeros(20), 0.5)
-    with pytest.raises(ParameterError):
-        solve_bmti(assemble_system(edges), tol=0.0)
+    for alpha, anchor in (
+        (1.5, (f0, h)),
+        (-0.1, (f0, h)),
+        (0.5, (f0[:-1], h[:-1])),
+        (0.5, (f0, np.zeros(20))),
+        (0.5, None),
+        (0.0, None),
+    ):
+        with pytest.raises(ParameterError):
+            solve_bmti(system, alpha=alpha, anchor=anchor)
+    for alpha in (1.0, 0.5, 0.0):
+        for tol in (0.0, np.nan):
+            with pytest.raises(ParameterError, match="tol"):
+                solve_bmti(system, tol=tol, alpha=alpha, anchor=(f0, h))
