@@ -92,6 +92,11 @@ def build_delta_f_edges(
 
     which over (k_i-1)(k_j-1) is r^T cov[m_i, m_j] r. The gradient scales
     turn it into the covariance of the two directional estimates.
+
+    One kernel computes all of it batch by batch, so only the five output
+    arrays span every edge. Quadratic forms negative by roundoff are clamped
+    to 0; a form below -_QFORM_RTOL times the largest |form| (at least 1) of
+    its endpoint side raises DataError once every batch has run.
     """
     if eps2_min <= 0.0:
         raise ParameterError("eps2_min must be positive")
@@ -99,17 +104,19 @@ def build_delta_f_edges(
     n_e = src.shape[0]
     pts = cloud.points
     g, var_g, shift = gradients.g, gradients.var_g, gradients.mean_shift
-    k = graph.k
+    k, scale = graph.k, gradients.scale
+    shared, moments = graph.edge_shared, graph.edge_shared_moments
 
     delta_f = np.empty(n_e)
-    q_src = np.empty(n_e)
-    q_dst = np.empty(n_e)
-    r2 = np.empty(n_e)
-    mu_src = np.empty(n_e)
-    mu_dst = np.empty(n_e)
+    eps2 = np.empty(n_e)
+    eps_src = np.empty(n_e)
+    eps_dst = np.empty(n_e)
+    pearson = np.empty(n_e)
 
     dim = cloud.embed_dim
     batch = max(1, geometry._BATCH_ENTRIES // (dim * dim))
+    # Per batch and endpoint, the least quadratic form and the largest |form|.
+    qform_range = np.empty((len(range(0, n_e, batch)), 2, 2))
 
     def edge_batch(s: int) -> None:
         e = min(s + batch, n_e)
@@ -118,34 +125,35 @@ def build_delta_f_edges(
         ds = np.einsum("ed,ed->e", g[i_b], r)
         dd = np.einsum("ed,ed->e", g[j_b], r)
         delta_f[s:e] = 0.5 * (ds + dd)
-        q_src[s:e] = np.einsum("ec,ecd,ed->e", r, var_g[i_b], r)
-        q_dst[s:e] = np.einsum("ec,ecd,ed->e", r, var_g[j_b], r)
-        r2[s:e] = np.einsum("ed,ed->e", r, r)
-        mu_src[s:e] = np.einsum("ed,ed->e", shift[i_b], r)
-        mu_dst[s:e] = np.einsum("ed,ed->e", shift[j_b], r)
+        q_src = np.einsum("ec,ecd,ed->e", r, var_g[i_b], r)
+        q_dst = np.einsum("ec,ecd,ed->e", r, var_g[j_b], r)
+        for side, q in enumerate((q_src, q_dst)):
+            qform_range[s // batch, side] = q.min(), np.abs(q).max()
+            # Roundoff negatives; larger ones raise after the batches.
+            q[q < 0.0] = 0.0
+        e_src = np.sqrt(q_src, out=eps_src[s:e])
+        e_dst = np.sqrt(q_dst, out=eps_dst[s:e])
+
+        r2 = np.einsum("ed,ed->e", r, r)
+        mu_src = np.einsum("ed,ed->e", shift[i_b], r)
+        mu_dst = np.einsum("ed,ed->e", shift[j_b], r)
+        m1, m2 = moments[s:e, 0], moments[s:e, 1]
+        lens = m2 - (r2 + mu_src + mu_dst) * m1 + shared[s:e] * mu_src * (r2 + mu_dst)
+        cov = scale[i_b] * scale[j_b] * lens / ((k[i_b] - 1) * (k[j_b] - 1))
+        p = pearson[s:e]
+        p[:] = 0.0
+        spread = (e_src > 0.0) & (e_dst > 0.0)
+        p[spread] = np.clip(cov[spread] / (e_src[spread] * e_dst[spread]), -1.0, 1.0)
+        out = eps2[s:e]
+        np.multiply(0.25, q_src + q_dst + 2.0 * p * e_src * e_dst, out=out)
+        np.maximum(out, eps2_min, out=out)
 
     geometry._run_batches(edge_batch, n_e, batch)
 
-    for q in (q_src, q_dst):
-        neg = q < 0.0
-        if np.any(neg):
-            worst = float(q.min())
-            if worst < -_QFORM_RTOL * max(float(np.abs(q).max()), 1.0):
-                raise DataError("non-PSD gradient covariance along an edge")
-            q[neg] = 0.0
-    eps_src = np.sqrt(q_src)
-    eps_dst = np.sqrt(q_dst)
-
-    m1 = graph.edge_shared_moments[:, 0]
-    m2 = graph.edge_shared_moments[:, 1]
-    lens = m2 - (r2 + mu_src + mu_dst) * m1 + graph.edge_shared * mu_src * (r2 + mu_dst)
-    scale = gradients.scale
-    cov = scale[src] * scale[dst] * lens / ((k[src] - 1) * (k[dst] - 1))
-    p = np.zeros(n_e)
-    spread = (eps_src > 0.0) & (eps_dst > 0.0)
-    p[spread] = np.clip(cov[spread] / (eps_src[spread] * eps_dst[spread]), -1.0, 1.0)
-    eps2 = 0.25 * (q_src + q_dst + 2.0 * p * eps_src * eps_dst)
-    np.maximum(eps2, eps2_min, out=eps2)
+    for side in (0, 1):
+        worst = qform_range[:, side, 0].min(initial=0.0)
+        if worst < -_QFORM_RTOL * qform_range[:, side, 1].max(initial=1.0):
+            raise DataError("non-PSD gradient covariance along an edge")
 
     return DeltaFEdgeSet(
         src=src,
@@ -154,7 +162,7 @@ def build_delta_f_edges(
         eps2=eps2,
         eps_src=eps_src,
         eps_dst=eps_dst,
-        pearson=p,
+        pearson=pearson,
         n_points=graph.n_points,
     )
 

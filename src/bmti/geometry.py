@@ -8,9 +8,10 @@ numpy expression, summed one coordinate at a time, and ordered by
 
 `knn_query_all` builds the one kNN table of a run, for every point or for
 a subset of rows: `run_bmti` queries every point at a start width, and
-adaptive k widens to the cap only the rows its test is about to read past
-(see `neighborhoods.select_adaptive_k`). `knn_query` answers for one point
-and serves as the per-point reference.
+adaptive k queries again, at twice the start width or at the cap, only the
+rows its test is about to read past, keeping their new columns in a ragged
+store (see `neighborhoods.select_adaptive_k`). `knn_query` answers for one
+point and serves as the per-point reference.
 
 The k-d tree query runs on every CPU. The per-batch kernels of the graph,
 gradient and edge stages do too, through `_run_batches`: one thread per CPU

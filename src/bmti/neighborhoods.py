@@ -8,12 +8,16 @@ edge, the number of points Omega_i and Omega_j share besides i and j and the
 first two moments of those points' projections on the edge, from which the
 error model downstream correlates the two endpoint estimates. The overlaps
 are computed once per unordered pair by scipy's sparse row intersection, in
-batches spread over the CPUs (geometry._run_batches). Both stages read the
-run's kNN table (geometry.knn_query_all). The table may start narrower than
-the adaptive-k cap: select_adaptive_k widens a row to the cap only when its
-test is about to read past the row's width, and hands on to the graph the
-max(k) - 1 columns of the grown table that the graph reads. The graph's
-component labels come with the assembled system (solver.assemble_system).
+batches spread over the CPUs (geometry._run_batches). select_adaptive_k
+reads the run's kNN table (geometry.knn_query_all), which may start
+narrower than the adaptive-k cap and is ragged past the start: a row is
+queried again, its new columns appended to one flat store, only when the
+test is about to read past the row's width. A row still growing at the
+start width goes to the cap; the row of a newest neighbour that stopped
+growing goes to twice the start width, and to the cap only if read past
+that. No dense (n, cap - 1) table is made: the graph gets its rows as one
+CSR edge list with their radii. The graph's component labels come with the
+assembled system (solver.assemble_system).
 """
 
 from __future__ import annotations
@@ -79,6 +83,13 @@ class NeighborGraph:
         return np.split(self.edge_dst, np.cumsum(self.k - 1)[:-1])
 
 
+def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    """An array of size entries that starts with the first used ones of a."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
 def select_adaptive_k(
     cloud: PointCloud,
     idx: np.ndarray,
@@ -101,18 +112,20 @@ def select_adaptive_k(
 
     (idx, dist) is the start of the cloud's kNN table (knn_query_all), one
     row per point, of any width. The test reads up to cap - 1 columns, with
-    cap = min(k_max, n-1). A start table at least that wide is read as is.
-    A narrower one is copied into a table of cap - 1 columns, and a row is
-    queried again at the full width only when the test is about to read a
-    column past its width: the row of a point still growing, or the row of
-    its newest neighbour j. So no row is queried more than once beyond the
-    start table.
+    cap = min(k_max, n-1); a start table at least that wide is read as is.
+    Past a narrower start, the table is ragged: a row is queried again only
+    when the test is about to read past its width, and the columns past the
+    start go to one flat, append-only store. A row still growing when the
+    test reaches the start width is queried at the cap. The row of a newest
+    neighbour j that has stopped growing is queried at twice the start width
+    (at most the cap), or at the cap when the test reads it past that or
+    reads it again past its doubled width. So no row is queried more than
+    three times, the start included.
 
-    Returns (k, idx, dist): the integer array k, with
-    k_min <= k[i] <= cap, and a copy of the table's first max(k) - 1
-    columns, the ones the graph reads, so that the working table is freed on
-    return. Row i is valid through at least column k[i] - 2 (its k[i] - 1
-    neighbours); columns past a row's width are unset.
+    Returns (k, edge_dst, radii): the integer array k, with
+    k_min <= k[i] <= cap; the graph's rows as one CSR edge list, row i the
+    k[i] - 1 nearest neighbours of i, nearest first, starting at
+    sum(k[:i] - 1); and radii[i], the distance from i to the last of them.
     """
     n = cloud.n_points
     if k_min < 4:
@@ -121,8 +134,8 @@ def select_adaptive_k(
         raise ParameterError(f"k_max ({k_max}) below k_min ({k_min})")
     if not np.isfinite(d) or d <= 0:
         raise ParameterError(f"intrinsic dimension must be positive, got {d}")
-    if lr_threshold <= 0:
-        raise ParameterError("lr_threshold must be positive")
+    if not lr_threshold > 0:
+        raise ParameterError(f"lr_threshold must be positive, got {lr_threshold}")
     cap = min(k_max, n - 1)
     if cap < k_min:
         raise DataError(
@@ -138,30 +151,46 @@ def select_adaptive_k(
 
     cols = cap - 1
     start = min(idx.shape[1], cols)
-    if start == cols:
-        table_idx, table_dist = idx[:, :cols], dist[:, :cols]
-    else:
-        table_idx = np.empty((n, cols), dtype=np.int64)
-        table_dist = np.empty((n, cols), dtype=np.float64)
-        table_idx[:, :start] = idx
-        table_dist[:, :start] = dist
-    wide = np.zeros(n, dtype=bool)  # rows queried at the full width
+    if start < k_min - 1:
+        # Too narrow for the first test: every row is queried at the cap.
+        idx, dist = geometry.knn_query_all(cloud, cols)
+        start = cols
+    if np.any(dist[:, k_min - 2] == 0.0):
+        raise DataError("duplicate points inside the minimum neighbourhood")
 
-    def widen(rows: np.ndarray) -> None:
-        """Query at the full width the rows in rows that are not yet."""
-        rows = np.unique(rows[~wide[rows]])
+    # Columns start .. width[i] - 1 of a widened row i sit in the store from
+    # offset[i] on; a row widened twice leaves its first copy unread.
+    width = np.full(n, start, dtype=np.int64)
+    offset = np.zeros(n, dtype=np.int64)
+    store_idx = np.empty(0, dtype=np.int64)
+    store_dist = np.empty(0)
+    used = 0
+
+    def widen(rows: np.ndarray, w: int) -> None:
+        """Query rows at w columns and append their columns past the start."""
+        nonlocal store_idx, store_dist, used
         if rows.size == 0:
             return
-        new_idx, new_dist = geometry.knn_query_all(cloud, cols, rows)
-        table_idx[rows] = new_idx
-        table_dist[rows] = new_dist
-        wide[rows] = True
+        new_idx, new_dist = geometry.knn_query_all(cloud, w, rows)
+        size = rows.size * (w - start)
+        if used + size > store_idx.size:
+            # Doubled, so that appending stays linear in the entries stored.
+            grown = max(2 * store_idx.size, used + size)
+            store_idx = _resized(store_idx, used, grown)
+            store_dist = _resized(store_dist, used, grown)
+        shape = (rows.size, w - start)
+        store_idx[used : used + size].reshape(shape)[...] = new_idx[:, start:]
+        store_dist[used : used + size].reshape(shape)[...] = new_dist[:, start:]
+        offset[rows] = used + np.arange(rows.size) * (w - start)
+        width[rows] = w
+        used += size
 
-    if start < k_min - 1:
-        widen(np.arange(n))
-        start = cols
-    if np.any(table_dist[:, k_min - 2] == 0.0):
-        raise DataError("duplicate points inside the minimum neighbourhood")
+    def column(head: np.ndarray, store: np.ndarray, rows, m: int) -> np.ndarray:
+        """Column m of rows at least m + 1 wide, from the start table (head)
+        or from the store."""
+        if m < start:
+            return head[rows, m]
+        return store[offset[rows] + (m - start)]
 
     k_arr = np.full(n, k_min, dtype=np.int64)
     active = np.arange(n)
@@ -169,14 +198,17 @@ def select_adaptive_k(
         m = k - 2  # column of the newest member, the (k-1)-th neighbour
         if m == start:
             # Active rows only shrink, so this widens every row still growing.
-            widen(active)
-        j = table_idx[active, m]
+            widen(active, cols)
+        j = column(idx, store_idx, active, m)
         if m >= start:
-            widen(j)
+            short = np.unique(j[width[j] <= m])
+            once = (width[short] == start) & (2 * start > m)
+            widen(short[once], min(2 * start, cols))
+            widen(short[~once], cols)
         # log(V) up to the omega_d constant, which cancels in the statistic;
         # every distance read here is positive (duplicates checked above).
-        li = d * np.log(table_dist[active, m])
-        lj = d * np.log(table_dist[j, m])
+        li = d * np.log(column(dist, store_dist, active, m))
+        lj = d * np.log(column(dist, store_dist, j, m))
         # 2 (k-1) log((Vi+Vj)^2/(4 Vi Vj)), computed via log-volumes.
         s = np.logaddexp(li, lj)
         stat = 2.0 * (k - 1) * (2.0 * s - np.log(4.0) - li - lj)
@@ -185,22 +217,35 @@ def select_adaptive_k(
         if active.size == 0:
             break
         k_arr[active] = k
-    # The working idx is freed before dist is copied: the caller still holds
-    # the start table, and copying both at once would raise the run's peak.
-    width = int(k_arr.max()) - 1
-    idx_out = table_idx[:, :width].copy()
-    del table_idx
-    return k_arr, idx_out, table_dist[:, :width].copy()
+
+    def gather(table: np.ndarray, store: np.ndarray, rows, col) -> np.ndarray:
+        """Entries of the ragged table at (rows, col), col below each row's width."""
+        out = np.empty(rows.shape, dtype=table.dtype)
+        head = col < start
+        out[head] = table[rows[head], col[head]]
+        tail = ~head
+        out[tail] = store[offset[rows[tail]] + col[tail] - start]
+        return out
+
+    counts = k_arr - 1
+    rows = np.repeat(np.arange(n), counts)
+    col = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    edge_dst = gather(idx, store_idx, rows, col)
+    del rows, col
+    radii = gather(dist, store_dist, np.arange(n), counts - 1)
+    return k_arr, edge_dst, radii
 
 
 def build_neighbor_graph(
-    cloud: PointCloud, k: np.ndarray, idx: np.ndarray, dist: np.ndarray
+    cloud: PointCloud, k: np.ndarray, edge_dst: np.ndarray, radii: np.ndarray
 ) -> NeighborGraph:
-    """Materialize neighbour lists, radii, and the shared-point counts and
-    moments of every edge for given sizes.
+    """Materialize the shared-point counts and moments of every edge for given
+    neighbour lists.
 
-    (idx, dist) is the kNN table of the cloud (knn_query_all) with at least
-    max(k) - 1 columns; wider tables are read only up to that column.
+    edge_dst is the CSR edge list of select_adaptive_k: row i, starting at
+    sum(k[:i] - 1), lists the k[i] - 1 nearest neighbours of i, nearest
+    first. radii[i] is the distance from i to the last of them. The graph
+    holds edge_dst and radii themselves.
     """
     n = cloud.n_points
     k = np.asarray(k, dtype=np.int64)
@@ -209,20 +254,20 @@ def build_neighbor_graph(
     if np.any(k < 2) or np.any(k > n - 1):
         raise ParameterError("every k[i] must lie in [2, n-1]")
 
-    kmax = int(k.max())
-    if idx.shape[0] != n or dist.shape != idx.shape or idx.shape[1] < kmax - 1:
+    counts = k - 1
+    edge_dst = np.asarray(edge_dst, dtype=np.int64)
+    radii = np.asarray(radii, dtype=np.float64)
+    if edge_dst.shape != (int(counts.sum()),) or radii.shape != (n,):
         raise ParameterError(
-            f"kNN table of shape {idx.shape} / {dist.shape} does not cover "
-            f"{n} points with {kmax - 1} neighbours each"
+            f"edge list of shape {edge_dst.shape} and radii of shape "
+            f"{radii.shape} do not cover {n} points with k - 1 neighbours each"
         )
-    radii = dist[np.arange(n), k - 2].copy()
+    if edge_dst.min() < 0 or edge_dst.max() >= n:
+        raise ParameterError(f"edge_dst must hold point indices in [0, {n})")
     if np.any(radii == 0.0):
         raise DataError("zero neighbourhood radius: duplicate points")
-
-    # One CSR edge list: row i of the table up to column k[i] - 2.
-    counts = k - 1
+    kmax = int(k.max())
     edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
-    edge_dst = idx[:, : kmax - 1][np.arange(kmax - 1) < counts[:, None]]
 
     # Membership matrix: row i flags Omega_i including the centre, as int8 so
     # that the row intersections move less data. Canonical (sorted, no

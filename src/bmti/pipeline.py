@@ -3,10 +3,13 @@
 run_bmti wires the stages together for production use; each stage remains
 available separately for inspection and testing. A run queries one kNN table
 at a start width of _START_WIDTH columns: TwoNN reads its first two columns,
-adaptive k widens to the cap only the rows its test reads past that width,
-and the graph reads the grown table. The Laplacian system is assembled once
-and solved once, by solve_bmti at any alpha. BmtiConfig checks every field
-when it is made, so a bad setting fails before any stage runs.
+and adaptive k queries again, into a ragged store, only the rows its test
+reads past that width (the ones still growing at the cap, the newest
+neighbours at twice the start width first). Adaptive k hands the graph its
+rows as one CSR edge list, and the start table is freed before the graph
+is built. The Laplacian system is assembled once and solved once, by
+solve_bmti at any alpha. BmtiConfig checks every field when it is made, so
+a bad setting fails before any stage runs.
 """
 
 from __future__ import annotations
@@ -38,8 +41,9 @@ from .solver import (
     solve_bmti,
 )
 
-# Columns of the kNN table queried for every point; adaptive k widens the
-# rows it reads further. On sixd n=20000 a row needs a median of 52 columns.
+# Columns of the kNN table queried for every point; adaptive k queries again
+# the rows it reads further. On sixd n=20000 a row needs a median of 52
+# columns.
 _START_WIDTH = 64
 
 
@@ -118,11 +122,11 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     """Estimate per-point negative log-density for a cloud.
 
     Stages: one kNN table at a start width, TwoNN intrinsic dimension
-    (unless fixed), adaptive neighbourhood sizes (widening the rows of the
-    table they read further), directed graph with overlaps, mean-shift
-    gradients with covariances, per-edge difference estimates, the
-    Laplacian assembly, and one global solve (pure at alpha = 1,
-    anchor-blended otherwise).
+    (unless fixed), adaptive neighbourhood sizes (querying again the rows of
+    the table they read further) and the graph's CSR edge list, directed
+    graph with overlaps, mean-shift gradients with covariances, per-edge
+    difference estimates, the Laplacian assembly, and one global solve (pure
+    at alpha = 1, anchor-blended otherwise).
     """
     cfg = config if config is not None else BmtiConfig()
     cap = min(cfg.k_max, cloud.n_points - 1)
@@ -134,13 +138,14 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     else:
         d = float(cfg.id_value)
 
-    k, idx, dist = select_adaptive_k(
+    k, edge_dst, radii = select_adaptive_k(
         cloud, idx, dist, d,
         lr_threshold=cfg.lr_threshold, k_min=cfg.k_min, k_max=cfg.k_max,
     )
-    graph = build_neighbor_graph(cloud, k, idx, dist)
-    # Freed before the gradient and edge stages, whose peaks it would add to.
+    # The start table is freed before the graph stage, whose peak it would
+    # add to.
     del idx, dist
+    graph = build_neighbor_graph(cloud, k, edge_dst, radii)
     gradients = compute_gradient_field(graph, cloud, d)
     edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
 

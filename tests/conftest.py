@@ -40,7 +40,8 @@ def random_cloud(rng, n: int, dim: int, truth: bool = False) -> PointCloud:
 
 
 # The kNN-reading stages, each fed from a table queried at the width it
-# reads; adaptive k, as in run_bmti, from a start table that it widens.
+# reads; adaptive k, as in run_bmti, from a start table that it widens, and
+# the graph from a dense table's rows (table_rows).
 # run_bmti queries one table for all three; a test of one stage queries its
 # own.
 
@@ -57,9 +58,18 @@ def adaptive_k(cloud: PointCloud, d: float, k_max: int = K_MAX, **kwargs):
     return k
 
 
+def table_rows(k, idx, dist):
+    """The graph's input read off a dense kNN table: row i's first k[i] - 1
+    neighbours as one CSR edge list, and the distance to the last of them."""
+    counts = np.asarray(k) - 1
+    width = int(counts.max())
+    edge_dst = idx[:, :width][np.arange(width) < counts[:, None]]
+    return edge_dst, dist[np.arange(counts.shape[0]), counts - 1]
+
+
 def neighbor_graph(cloud: PointCloud, k):
-    idx, dist = knn_query_all(cloud, int(np.max(k)) - 1)
-    return build_neighbor_graph(cloud, k, idx, dist)
+    table = knn_query_all(cloud, int(np.max(k)) - 1)
+    return build_neighbor_graph(cloud, k, *table_rows(k, *table))
 
 
 def count_knn_queries(monkeypatch) -> list:

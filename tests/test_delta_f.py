@@ -14,6 +14,7 @@ from oracles import (
     estimate_delta_f,
 )
 
+from bmti import geometry
 from bmti.delta_f import EPS2_MIN, build_delta_f_edges, calibration_report
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud
@@ -131,9 +132,22 @@ def test_variance_guards():
         delta_f_variance(-0.5, 0.5, 0.5)
 
 
-def test_edge_set_matches_scalar_operations(rng):
+def edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
+    """The edge set at the default batch budget, then in batches of a few
+    edges on four threads, so that batch boundaries fall inside the graph."""
+    sets = [build_delta_f_edges(graph, field, cloud)]
+    with monkeypatch.context() as patch:
+        patch.setattr(geometry, "_BATCH_ENTRIES", 64)
+        patch.setattr(geometry, "_WORKERS", 4)
+        sets.append(build_delta_f_edges(graph, field, cloud))
+    return sets
+
+
+def test_edge_set_matches_scalar_operations(rng, monkeypatch):
     cloud, graph, field = pipeline_stages(rng, n=120, k=9)
-    edges = build_delta_f_edges(graph, field, cloud)
+    default, edges = edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch)
+    for name in ("delta_f", "eps2", "eps_src", "eps_dst", "pearson"):
+        assert np.array_equal(getattr(edges, name), getattr(default, name))
     assert edges.n_edges == graph.n_edges
     sel = rng.integers(0, edges.n_edges, size=200)
     for e in sel:
@@ -236,3 +250,27 @@ def test_edge_builder_rejects_bad_floor(rng):
     cloud, graph, field = pipeline_stages(rng, n=40, k=5)
     with pytest.raises(ParameterError):
         build_delta_f_edges(graph, field, cloud, eps2_min=0.0)
+
+
+def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
+    cloud, graph, field = pipeline_stages(rng, n=80, k=6)
+    # Forms negative by roundoff only are clamped to 0: no spread, no
+    # correlation, eps2 at the floor.
+    tiny = constant_field(80, [1.0, 0.0], -1e-12 * np.eye(2))
+    for edges in edges_in_default_and_tiny_batches(graph, tiny, cloud, monkeypatch):
+        assert np.all(edges.eps_src == 0.0) and np.all(edges.eps_dst == 0.0)
+        assert np.all(edges.pearson == 0.0) and np.all(edges.eps2 == EPS2_MIN)
+    # One point far from PSD raises, in whichever batch its edges fall.
+    for point in (0, 57):
+        var = field.var_g.copy()
+        var[point] = -np.eye(2)
+        bad = GradientField(
+            g=field.g, var_g=var, mean_shift=field.mean_shift, scale=field.scale
+        )
+        with pytest.raises(DataError):
+            build_delta_f_edges(graph, bad, cloud)
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_BATCH_ENTRIES", 64)
+            patch.setattr(geometry, "_WORKERS", 4)
+            with pytest.raises(DataError):
+                build_delta_f_edges(graph, bad, cloud)

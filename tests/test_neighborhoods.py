@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import adaptive_k, neighbor_graph
+from conftest import adaptive_k, neighbor_graph, table_rows
 from oracles import component_labels, jaccard_overlap, overlap_count
 
 from bmti import geometry
@@ -97,6 +97,9 @@ def test_selection_guards(rng):
         select_adaptive_k(cloud, *table, -1.0)
     with pytest.raises(ParameterError):
         select_adaptive_k(cloud, *table, 2.0, lr_threshold=0.0)
+    # NaN fails every `stat < threshold` and would stop all points at k_min.
+    with pytest.raises(ParameterError):
+        select_adaptive_k(cloud, *table, 2.0, lr_threshold=float("nan"))
     # A table that does not cover the cloud, or whose halves disagree.
     with pytest.raises(ParameterError):
         select_adaptive_k(cloud, table[0][:40], table[1][:40], 2.0)
@@ -104,16 +107,58 @@ def test_selection_guards(rng):
         select_adaptive_k(cloud, table[0], table[1][:, :10], 2.0)
     # A narrow table is a start that is widened where the test reads past it.
     narrow = knn_query_all(cloud, 10)
-    k, idx, dist = select_adaptive_k(cloud, *narrow, 2.0, k_max=13)
-    k_full, _, _ = select_adaptive_k(cloud, *table, 2.0, k_max=13)
+    k, edge_dst, radii = select_adaptive_k(cloud, *narrow, 2.0, k_max=13)
+    k_full, dst_full, radii_full = select_adaptive_k(cloud, *table, 2.0, k_max=13)
     np.testing.assert_array_equal(k, k_full)
-    assert idx.shape == dist.shape == (50, 12) and np.any(k == 13)
+    assert np.array_equal(edge_dst, dst_full) and np.array_equal(radii, radii_full)
+    assert edge_dst.shape == (int((k - 1).sum()),) and radii.shape == (50,)
+    assert np.any(k == 13)
+    rows = np.split(edge_dst, np.cumsum(k - 1)[:-1])
     for i in range(50):
-        assert np.array_equal(idx[i, : k[i] - 1], table[0][i, : k[i] - 1])
-        assert np.array_equal(dist[i, : k[i] - 1], table[1][i, : k[i] - 1])
+        assert np.array_equal(rows[i], table[0][i, : k[i] - 1])
+        assert radii[i] == table[1][i, k[i] - 2]
     tiny = PointCloud(points=rng.standard_normal((4, 2)))
     with pytest.raises(DataError):
         select_adaptive_k(tiny, *knn_query_all(tiny, 3), 2.0)
+
+
+def test_ragged_table_matches_full_width_table(monkeypatch):
+    # Start widths below k_min - 1 and ones whose double is below the cap, so
+    # that rows are widened twice; the full-width start makes no query.
+    cloud = PointCloud(points=np.random.default_rng(22).standard_normal((300, 2)))
+    full = knn_query_all(cloud, 99)
+    want = select_adaptive_k(cloud, *full, 2.0, lr_threshold=4.0, k_max=100)
+    query = geometry.knn_query_all
+    widened_twice = 0
+    for start in (2, 5, 8, 16, 30, 60, 99):
+        calls = []
+
+        def counted(c, k, rows=None):
+            calls.append((k, np.arange(c.n_points) if rows is None else rows))
+            return query(c, k, rows)
+
+        table = full[0][:, :start].copy(), full[1][:, :start].copy()
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "knn_query_all", counted)
+            got = select_adaptive_k(cloud, *table, 2.0, lr_threshold=4.0, k_max=100)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if start == 99:
+            assert calls == []
+            continue
+        if start == 2:
+            # Too narrow for the first test: one query of every row at the cap.
+            assert len(calls) == 1 and calls[0][0] == 99 and calls[0][1].size == 300
+            continue
+        # At most twice past the start table, and fewer entries than the
+        # dense (n, cap - 1) table.
+        assert calls and all(k in (2 * start, 99) for k, _ in calls)
+        per_row = np.bincount(np.concatenate([r for _, r in calls]), minlength=300)
+        assert per_row.max() <= 2
+        assert sum(k * len(r) for k, r in calls) < 300 * 99
+        widened_twice += int((per_row == 2).sum())
+    # Doubled rows read past their width were queried again, at the cap.
+    assert widened_twice > 0
 
 
 def test_graph_structure_line_points():
@@ -225,16 +270,23 @@ def test_components_two_far_clusters(rng):
 def test_graph_guards(rng):
     cloud = PointCloud(points=rng.standard_normal((20, 2)))
     table = knn_query_all(cloud, 19)
+    rows = table_rows(np.full(20, 5), *table)
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(19, 5), *table)
+        build_neighbor_graph(cloud, np.full(19, 5), *rows)
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(20, 1), *table)
+        build_neighbor_graph(cloud, np.full(20, 1), *rows)
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(20, 20), *table)
+        build_neighbor_graph(cloud, np.full(20, 20), *rows)
+    # Rows of 4 neighbours each do not cover sizes of 6, nor radii of 19.
     with pytest.raises(ParameterError):
-        build_neighbor_graph(cloud, np.full(20, 6), *knn_query_all(cloud, 4))
+        build_neighbor_graph(cloud, np.full(20, 6), *rows)
+    with pytest.raises(ParameterError):
+        build_neighbor_graph(cloud, np.full(20, 5), rows[0], rows[1][:19])
+    with pytest.raises(ParameterError):
+        build_neighbor_graph(cloud, np.full(20, 5), rows[0] + 20, rows[1])
     dup = np.zeros((6, 2))
     dup[3:] += 1.0
     dup_cloud = PointCloud(points=dup)
+    dup_rows = table_rows(np.full(6, 3), *knn_query_all(dup_cloud, 5))
     with pytest.raises(DataError):
-        build_neighbor_graph(dup_cloud, np.full(6, 3), *knn_query_all(dup_cloud, 5))
+        build_neighbor_graph(dup_cloud, np.full(6, 3), *dup_rows)
