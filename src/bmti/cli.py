@@ -15,14 +15,13 @@ import numpy as np
 
 from .baselines import gkde_density, knn_baseline
 from .datasets import generate_dataset
-from .evaluation import align_and_mae, run_benchmark
+from .evaluation import align_and_mae, run_benchmark, write_csv_columns
 from .exceptions import BmtiError, DataError, ParameterError
 from .geometry import PointCloud
 from .pipeline import BmtiConfig, run_bmti
+from .solver import UNCERTAINTY_CAP
 
 _FLOAT_FMT = "%.17g"
-# Edges formatted and written at a time by --dump-edges.
-_DUMP_ROWS = 1 << 16
 
 
 def read_cloud_csv(path) -> PointCloud:
@@ -107,15 +106,12 @@ def _cmd_generate(args) -> int:
 
 def _dump_edges(edges, path) -> None:
     """Write one CSV row per edge, in the bytes of csv.writer's default
-    dialect (CRLF line ends) with _FLOAT_FMT cells. Rows are formatted in
-    chunks of _DUMP_ROWS by one string-format map each."""
-    line = f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\r\n"
-    cols = (edges.src, edges.dst, edges.delta_f, edges.eps2, edges.pearson)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("i,j,delta_f,eps2,pearson\r\n")
-        for lo in range(0, edges.n_edges, _DUMP_ROWS):
-            rows = zip(*(c[lo : lo + _DUMP_ROWS].tolist() for c in cols))
-            fh.write("".join(map(line.__mod__, rows)))
+    dialect, with _FLOAT_FMT cells."""
+    write_csv_columns(
+        path, "i,j,delta_f,eps2,pearson",
+        f"%d,%d,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT}\r\n",
+        (edges.src, edges.dst, edges.delta_f, edges.eps2, edges.pearson),
+    )
 
 
 def _dump_gradients(gradients, path) -> None:
@@ -244,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dump-gradients", default=None, metavar="CSV",
                    help="also write per-point gradients (bmti only)")
     e.add_argument("--uncertainties", action="store_true",
-                   help="add sigma_F (bmti only; small inputs)")
+                   help="add sigma_F (bmti only; dense, so at most "
+                   f"{UNCERTAINTY_CAP} points)")
     e.add_argument("--k", type=int, default=None,
                    help="neighbour count for knn (Abramson rule when omitted)")
     e.add_argument("--bandwidth", type=float, default=None,

@@ -366,8 +366,11 @@ def swiss_roll_embed(cloud: PointCloud, spec: EmbeddingSpec) -> PointCloud:
 
     The first coordinate x becomes the pair (x cos x, x sin x); remaining
     coordinates are kept, the vector is padded with zeros to target_dim and
-    rotated by a seeded orthogonal matrix. Ground truth carries over
-    unchanged (the roll is injective on the sampled range).
+    rotated by a seeded orthogonal matrix. The roll is injective on the
+    sampled range and stretches area by sqrt(1 + x^2) (the length of
+    d/dx (x cos x, x sin x)); padding and rotation keep it. So the rolled
+    cloud's density on its surface is rho / sqrt(1 + x^2), and the ground
+    truth becomes truth_F + log1p(x^2) / 2.
     """
     base = cloud.embed_dim
     if base + 1 > spec.target_dim:
@@ -386,7 +389,9 @@ def swiss_roll_embed(cloud: PointCloud, spec: EmbeddingSpec) -> PointCloud:
         cols.append(np.zeros((cloud.n_points, pad)))
     rolled = np.column_stack(cols)
     q = rotation_matrix(spec)
-    truth = None if cloud.truth_F is None else cloud.truth_F.copy()
+    truth = None
+    if cloud.truth_F is not None:
+        truth = cloud.truth_F + 0.5 * np.log1p(x1 * x1)
     return PointCloud(points=rolled @ q.T, truth_F=truth)
 
 

@@ -4,16 +4,20 @@ Every directed edge (i, j) gets a midpoint-rule estimate of F_j - F_i from the
 two endpoint gradients, plus an error bar that accounts for the correlation
 between the two endpoint estimates. That correlation comes from the points
 the two neighbourhoods share: it is the correlation of the two mean shifts
-projected on the edge, read from the shared-point moments of the graph. It
-is positive for nearly coincident neighbourhoods and turns negative when the
-shared lens is thin, since a point in the lens pulls each mean toward the
-other end. pull_statistics summarizes standardized residuals against a
+projected on the edge, read from the shared-point moments of the edges'
+overlaps (neighborhoods.EdgeOverlaps). It is positive for nearly coincident
+neighbourhoods and turns negative when the shared lens is thin, since a
+point in the lens pulls each mean toward the other end. Only the
+difference, its variance and the correlation span every edge; the two
+directional spreads are computed again when read (DeltaFEdgeSet.eps_src,
+eps_dst). pull_statistics summarizes standardized residuals against a
 truth; calibration_report applies it to the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import kstest
@@ -22,7 +26,7 @@ from . import geometry
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
 from .gradients import GradientField
-from .neighborhoods import NeighborGraph
+from .neighborhoods import EdgeOverlaps, NeighborGraph
 
 EPS2_MIN = 1e-12
 
@@ -39,24 +43,54 @@ class DeltaFEdgeSet:
         edge_src and edge_dst themselves.
     delta_f : (E,) midpoint estimates of F_dst - F_src.
     eps2 : (E,) error-bar variances, floored at eps2_min.
+    pearson : (E,) model correlation between the errors of the two
+        directional estimates, the correlation of the endpoint mean shifts
+        projected on the edge.
+    var_g : (n, D, D) gradient covariances the edges were built from, the
+        gradient field's own array.
+    points : (n, D) the cloud's own points.
     eps_src, eps_dst : (E,) standard deviations of the two one-endpoint
-        (directional) estimates g_src . r and g_dst . r.
-    pearson : (E,) model correlation between the errors of the two, the
-        correlation of the endpoint mean shifts projected on the edge.
+        (directional) estimates g_src . r and g_dst . r; computed from
+        var_g and points on first read, as the kernel computes them
+        (roundoff-negative forms clamped to 0), and kept.
     """
 
     src: np.ndarray
     dst: np.ndarray
     delta_f: np.ndarray
     eps2: np.ndarray
-    eps_src: np.ndarray
-    eps_dst: np.ndarray
     pearson: np.ndarray
     n_points: int
+    var_g: np.ndarray
+    points: np.ndarray
 
     @property
     def n_edges(self) -> int:
         return self.src.shape[0]
+
+    @cached_property
+    def eps_src(self) -> np.ndarray:
+        return self._spread(self.src)
+
+    @cached_property
+    def eps_dst(self) -> np.ndarray:
+        return self._spread(self.dst)
+
+    def _spread(self, ends: np.ndarray) -> np.ndarray:
+        """sqrt(r^T var_g[w] r) per edge, w = ends, in the kernel's batches."""
+        n_e, pts = self.n_edges, self.points
+        out = np.empty(n_e)
+        batch = _edge_batch(pts.shape[1])
+
+        def spread_batch(s: int) -> None:
+            e = min(s + batch, n_e)
+            r = pts[self.dst[s:e]] - pts[self.src[s:e]]
+            q = _qform(r, self.var_g, ends[s:e])
+            q[q < 0.0] = 0.0
+            np.sqrt(q, out=out[s:e])
+
+        geometry._run_batches(spread_batch, n_e, batch)
+        return out
 
 
 @dataclass(frozen=True)
@@ -69,8 +103,19 @@ class PullStats:
     n: int
 
 
+def _edge_batch(dim: int) -> int:
+    """Edges per batch of the edge kernel, whose gathers are D x D per edge."""
+    return max(1, geometry._BATCH_ENTRIES // (dim * dim))
+
+
+def _qform(r: np.ndarray, var_g: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """r^T var_g[w] r for each edge vector r and endpoint w in ends."""
+    return np.einsum("ec,ecd,ed->e", r, var_g[ends], r)
+
+
 def build_delta_f_edges(
     graph: NeighborGraph,
+    overlaps: EdgeOverlaps,
     gradients: GradientField,
     cloud: PointCloud,
     eps2_min: float = EPS2_MIN,
@@ -83,8 +128,9 @@ def build_delta_f_edges(
 
         eps2 = (eps_i^2 + eps_j^2 + 2 p eps_i eps_j) / 4,
 
-    floored at eps2_min. The correlation reads the shared-point moments
-    stored on the graph: with a = (x - x_i) . r over the shared points S,
+    floored at eps2_min. The correlation reads the shared-point counts and
+    moments of the overlaps (build_neighbor_graph's second value): with
+    a = (x - x_i) . r over the shared points S,
     mu = m_hat . r and s2 = |r|^2,
 
         sum_S (a - mu_i)(a - s2 - mu_j)
@@ -93,10 +139,12 @@ def build_delta_f_edges(
     which over (k_i-1)(k_j-1) is r^T cov[m_i, m_j] r. The gradient scales
     turn it into the covariance of the two directional estimates.
 
-    One kernel computes all of it batch by batch, so only the five output
-    arrays span every edge. Quadratic forms negative by roundoff are clamped
-    to 0; a form below -_QFORM_RTOL times the largest |form| (at least 1) of
-    its endpoint side raises DataError once every batch has run.
+    One kernel computes all of it batch by batch, so only delta_f, eps2 and
+    pearson span every edge; the directional spreads eps_i and eps_j stay
+    in the batch, and the edge set computes them again when they are read.
+    Quadratic forms negative by roundoff are clamped to 0; a form below
+    -_QFORM_RTOL times the largest |form| (at least 1) of its endpoint side
+    raises DataError once every batch has run.
     """
     if eps2_min <= 0.0:
         raise ParameterError("eps2_min must be positive")
@@ -105,16 +153,13 @@ def build_delta_f_edges(
     pts = cloud.points
     g, var_g, shift = gradients.g, gradients.var_g, gradients.mean_shift
     k, scale = graph.k, gradients.scale
-    shared, moments = graph.edge_shared, graph.edge_shared_moments
+    shared, moments = overlaps.shared, overlaps.moments
 
     delta_f = np.empty(n_e)
     eps2 = np.empty(n_e)
-    eps_src = np.empty(n_e)
-    eps_dst = np.empty(n_e)
     pearson = np.empty(n_e)
 
-    dim = cloud.embed_dim
-    batch = max(1, geometry._BATCH_ENTRIES // (dim * dim))
+    batch = _edge_batch(cloud.embed_dim)
     # Per batch and endpoint, the least quadratic form and the largest |form|.
     qform_range = np.empty((len(range(0, n_e, batch)), 2, 2))
 
@@ -125,14 +170,14 @@ def build_delta_f_edges(
         ds = np.einsum("ed,ed->e", g[i_b], r)
         dd = np.einsum("ed,ed->e", g[j_b], r)
         delta_f[s:e] = 0.5 * (ds + dd)
-        q_src = np.einsum("ec,ecd,ed->e", r, var_g[i_b], r)
-        q_dst = np.einsum("ec,ecd,ed->e", r, var_g[j_b], r)
+        q_src = _qform(r, var_g, i_b)
+        q_dst = _qform(r, var_g, j_b)
         for side, q in enumerate((q_src, q_dst)):
             qform_range[s // batch, side] = q.min(), np.abs(q).max()
             # Roundoff negatives; larger ones raise after the batches.
             q[q < 0.0] = 0.0
-        e_src = np.sqrt(q_src, out=eps_src[s:e])
-        e_dst = np.sqrt(q_dst, out=eps_dst[s:e])
+        e_src = np.sqrt(q_src)
+        e_dst = np.sqrt(q_dst)
 
         r2 = np.einsum("ed,ed->e", r, r)
         mu_src = np.einsum("ed,ed->e", shift[i_b], r)
@@ -160,10 +205,10 @@ def build_delta_f_edges(
         dst=dst,
         delta_f=delta_f,
         eps2=eps2,
-        eps_src=eps_src,
-        eps_dst=eps_dst,
         pearson=pearson,
         n_points=graph.n_points,
+        var_g=var_g,
+        points=pts,
     )
 
 

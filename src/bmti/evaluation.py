@@ -20,10 +20,12 @@ from .datasets import DATASET_DEFAULTS, generate_dataset
 from .delta_f import calibration_report
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
-from .pipeline import BmtiConfig, run_bmti
+from .pipeline import BmtiConfig, _integer, run_bmti
 
 SCHEMA_VERSION = 1
 METHODS = ("bmti", "knn", "gkde")
+# Rows formatted and written at a time by write_csv_columns.
+_CSV_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,24 @@ def align_and_mae(
     return offset, mae
 
 
+def write_csv_columns(path, header: str, line: str, cols) -> None:
+    """Write equal-length columns as CSV rows, in the bytes of csv.writer's
+    default dialect (CRLF line ends): the header row, then `line`, a
+    %-format with its CRLF, applied to each row. Rows are formatted in
+    chunks of _CSV_ROWS by one string-format map each."""
+    n = len(cols[0])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\r\n")
+        for lo in range(0, n, _CSV_ROWS):
+            rows = zip(*(c[lo : lo + _CSV_ROWS].tolist() for c in cols))
+            fh.write("".join(map(line.__mod__, rows)))
+
+
 def parity_export(predicted, truth, path) -> None:
     """Write aligned (truth, prediction) pairs as CSV for parity plotting.
 
-    Header F_true,F_hat_aligned; values at full float precision. Empty
-    inputs produce a header-only file.
+    Header F_true,F_hat_aligned; values at full float precision (%.17g),
+    CRLF line ends. Empty inputs produce a header-only file.
     """
     p = _as_finite("predicted", predicted)
     t = _as_finite("truth", truth)
@@ -97,11 +112,9 @@ def parity_export(predicted, truth, path) -> None:
             f"length mismatch: {p.shape[0]} predictions vs {t.shape[0]} truths"
         )
     offset = float((t - p).mean()) if p.size else 0.0
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["F_true", "F_hat_aligned"])
-        for ti, pi in zip(t, p + offset):
-            writer.writerow([f"{ti:.17g}", f"{pi:.17g}"])
+    write_csv_columns(
+        path, "F_true,F_hat_aligned", "%.17g,%.17g\r\n", (t, p + offset)
+    )
 
 
 def _estimate_cell(
@@ -161,12 +174,14 @@ def run_benchmark(
 ) -> list[EvaluationReport]:
     """Run every (dataset, method, seed, size) cell of a benchmark config.
 
-    Config keys: datasets[] and methods[] (required), seeds[] (default
-    [0]), sizes[] (optional; None uses each dataset's default count) and
-    estimator_params{} (per-method keyword arguments); any other key raises
-    ParameterError. Cells run one after another, each on every CPU. Failed
-    cells are reported with an error tag; the run continues. Reports are
-    written to out_json / out_csv when given.
+    Config keys: datasets[] and methods[] (required), seeds[] of integers
+    (default [0]), sizes[] of integers or None (optional; None uses each
+    dataset's default count) and estimator_params{} (per-method mappings of
+    keyword arguments); any other key, and a value of the wrong type (bool
+    and float included where an integer belongs), raises ParameterError.
+    Cells run one after another, each on every CPU. Failed cells are
+    reported with an error tag; the run continues. Reports are written to
+    out_json / out_csv when given.
     """
     if not isinstance(config, dict):
         raise ParameterError("benchmark config must be a mapping")
@@ -187,9 +202,22 @@ def run_benchmark(
             raise ParameterError(f"unknown method {m!r}; expected one of {METHODS}")
     seeds = config.get("seeds") or [0]
     sizes = config.get("sizes") or [None]
+    if not isinstance(seeds, (list, tuple)) or not all(map(_integer, seeds)):
+        raise ParameterError(f"seeds must be a list of integers, got {seeds!r}")
+    if not isinstance(sizes, (list, tuple)) or not all(
+        size is None or _integer(size) for size in sizes
+    ):
+        raise ParameterError(
+            f"sizes must be a list of integers or None, got {sizes!r}"
+        )
     estimator_params = config.get("estimator_params") or {}
     if not isinstance(estimator_params, dict):
         raise ParameterError("estimator_params must be a mapping of method to params")
+    for m, params in estimator_params.items():
+        if not isinstance(params, dict):
+            raise ParameterError(
+                f"estimator_params[{m!r}] must be a mapping, got {params!r}"
+            )
 
     cells = [
         (ds, m, int(seed), None if size is None else int(size),

@@ -3,27 +3,29 @@
 Each point i gets a neighbourhood Omega_i consisting of the point itself plus
 its k[i]-1 nearest neighbours; k[i] grows from k_min until a likelihood-ratio
 test says the local density stops being constant. The graph is one CSR
-edge list (edge_src, edge_dst, rows in point order) and stores, per directed
+edge list (edge_src, edge_dst, rows in point order). Next to it,
+build_neighbor_graph returns the edges' overlaps (EdgeOverlaps): per directed
 edge, the number of points Omega_i and Omega_j share besides i and j and the
 first two moments of those points' projections on the edge, from which the
-error model downstream correlates the two endpoint estimates. The overlaps
-are computed once per unordered pair by scipy's sparse row intersection, in
-batches spread over the CPUs (geometry._run_batches). select_adaptive_k
-reads the run's kNN table (geometry.knn_query_all), which may start
-narrower than the adaptive-k cap and is ragged past the start: a row is
-queried again, its new columns appended to one flat store, only when the
-test is about to read past the row's width. A row still growing at the
-start width goes to the cap; the row of a newest neighbour that stopped
-growing goes to twice the start width, and to the cap only if read past
-that. No dense (n, cap - 1) table is made: the graph gets its rows as one
-CSR edge list with their radii. The graph's component labels come with the
-assembled system (solver.assemble_system).
+error model downstream correlates the two endpoint estimates. Only the edge
+kernel (delta_f.build_delta_f_edges) reads them, so they are a separate
+value that the run frees after that stage. The overlaps are computed once
+per unordered pair by scipy's sparse row intersection, in batches spread
+over the CPUs (geometry._run_batches). select_adaptive_k reads the run's
+kNN table (geometry.knn_query_all), which may start narrower than the
+adaptive-k cap and is ragged past the start: a row is queried again, its
+new columns appended to one flat store, only when the test is about to
+read past the row's width. A row still growing at the start width goes to
+the cap; the row of a newest neighbour that stopped growing goes to twice
+the start width, and to the cap only if read past that. No dense
+(n, cap - 1) table is made: the graph gets its rows as one CSR edge list
+with their radii. The graph's component labels come with the assembled
+system (solver.assemble_system).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,21 +54,12 @@ class NeighborGraph:
         All directed edges (i -> j for the k[i]-1 nearest neighbours j of
         i), in point order then neighbour order, nearest first: a CSR edge
         list whose row i starts at sum(k[:i] - 1).
-    edge_shared : ndarray, shape (E,)
-        Points shared by Omega_i and Omega_j other than i and j: the overlap
-        count |Omega_i & Omega_j| less the two centres when the edge is
-        mutual, less j otherwise.
-    edge_shared_moments : ndarray, shape (E, 2)
-        Sums over those shared points x of a and a^2, with
-        a = (x - x_i) . (x_j - x_i) for the edge i -> j.
     """
 
     k: np.ndarray
     radii: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    edge_shared: np.ndarray
-    edge_shared_moments: np.ndarray
 
     @property
     def n_points(self) -> int:
@@ -76,11 +69,24 @@ class NeighborGraph:
     def n_edges(self) -> int:
         return self.edge_src.shape[0]
 
-    @cached_property
-    def neighbors(self) -> list[np.ndarray]:
-        """neighbors[i] holds the k[i]-1 nearest neighbours of i, nearest
-        first: row i of the edge list, a view into edge_dst."""
-        return np.split(self.edge_dst, np.cumsum(self.k - 1)[:-1])
+
+@dataclass(frozen=True)
+class EdgeOverlaps:
+    """Shared points of the two neighbourhoods of every graph edge.
+
+    Aligned with the graph's edge arrays; the edge kernel's input only.
+
+    shared : ndarray, shape (E,)
+        Points shared by Omega_i and Omega_j other than i and j: the overlap
+        count |Omega_i & Omega_j| less the two centres when the edge is
+        mutual, less j otherwise.
+    moments : ndarray, shape (E, 2)
+        Sums over those shared points x of a and a^2, with
+        a = (x - x_i) . (x_j - x_i) for the edge i -> j.
+    """
+
+    shared: np.ndarray
+    moments: np.ndarray
 
 
 def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -238,14 +244,15 @@ def select_adaptive_k(
 
 def build_neighbor_graph(
     cloud: PointCloud, k: np.ndarray, edge_dst: np.ndarray, radii: np.ndarray
-) -> NeighborGraph:
-    """Materialize the shared-point counts and moments of every edge for given
-    neighbour lists.
+) -> tuple[NeighborGraph, EdgeOverlaps]:
+    """The graph of given neighbour lists, and the shared-point counts and
+    moments of every edge.
 
     edge_dst is the CSR edge list of select_adaptive_k: row i, starting at
     sum(k[:i] - 1), lists the k[i] - 1 nearest neighbours of i, nearest
     first. radii[i] is the distance from i to the last of them. The graph
-    holds edge_dst and radii themselves.
+    holds edge_dst and radii themselves. Returns (graph, overlaps); the
+    overlaps are read by build_delta_f_edges only.
     """
     n = cloud.n_points
     k = np.asarray(k, dtype=np.int64)
@@ -333,11 +340,7 @@ def build_neighbor_graph(
     edge_shared_moments[:, 0] -= r2
     edge_shared_moments[:, 1] -= r2 * r2
 
-    return NeighborGraph(
-        k=k.copy(),
-        radii=radii,
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        edge_shared=edge_shared,
-        edge_shared_moments=edge_shared_moments,
+    graph = NeighborGraph(
+        k=k.copy(), radii=radii, edge_src=edge_src, edge_dst=edge_dst
     )
+    return graph, EdgeOverlaps(shared=edge_shared, moments=edge_shared_moments)

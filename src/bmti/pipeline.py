@@ -7,9 +7,11 @@ and adaptive k queries again, into a ragged store, only the rows its test
 reads past that width (the ones still growing at the cap, the newest
 neighbours at twice the start width first). Adaptive k hands the graph its
 rows as one CSR edge list, and the start table is freed before the graph
-is built. The Laplacian system is assembled once and solved once, by
-solve_bmti at any alpha. BmtiConfig checks every field when it is made, so
-a bad setting fails before any stage runs.
+is built. The graph stage returns the edges' overlaps next to the graph;
+the edge kernel is their only reader, and the run frees them before the
+assembly, where its memory peaks. The Laplacian system is assembled once
+and solved once, by solve_bmti at any alpha. BmtiConfig checks every field
+when it is made, so a bad setting fails before any stage runs.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ from .solver import (
 _START_WIDTH = 64
 
 
+def _integer(value) -> bool:
+    """Whether value is an integer, bool excluded."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class BmtiConfig:
     """Pipeline knobs; the defaults are the production settings.
@@ -71,14 +78,11 @@ class BmtiConfig:
     eps2_min: float = EPS2_MIN
 
     def __post_init__(self):
-        def integer(value) -> bool:
-            return isinstance(value, Integral) and not isinstance(value, bool)
-
         if self.id_value is not None and not 0.0 < self.id_value < np.inf:
             raise ParameterError(f"id_value must be positive, got {self.id_value}")
-        if not (integer(self.k_min) and self.k_min >= 4):
+        if not (_integer(self.k_min) and self.k_min >= 4):
             raise ParameterError(f"k_min must be an integer >= 4, got {self.k_min!r}")
-        if not (integer(self.k_max) and self.k_max >= self.k_min):
+        if not (_integer(self.k_max) and self.k_max >= self.k_min):
             raise ParameterError(
                 f"k_max must be an integer >= k_min, got {self.k_max!r}"
             )
@@ -91,7 +95,7 @@ class BmtiConfig:
         if not 0.0 < self.cg_tol < np.inf:
             raise ParameterError(f"cg_tol must be positive, got {self.cg_tol}")
         if self.cg_max_iter is not None and not (
-            integer(self.cg_max_iter) and self.cg_max_iter >= 1
+            _integer(self.cg_max_iter) and self.cg_max_iter >= 1
         ):
             raise ParameterError(
                 f"cg_max_iter must be a positive integer, got {self.cg_max_iter!r}"
@@ -124,9 +128,10 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     Stages: one kNN table at a start width, TwoNN intrinsic dimension
     (unless fixed), adaptive neighbourhood sizes (querying again the rows of
     the table they read further) and the graph's CSR edge list, directed
-    graph with overlaps, mean-shift gradients with covariances, per-edge
-    difference estimates, the Laplacian assembly, and one global solve (pure
-    at alpha = 1, anchor-blended otherwise).
+    graph with the edges' overlaps, mean-shift gradients with covariances,
+    per-edge difference estimates (the last reader of the overlaps), the
+    Laplacian assembly, and one global solve (pure at alpha = 1,
+    anchor-blended otherwise).
     """
     cfg = config if config is not None else BmtiConfig()
     cap = min(cfg.k_max, cloud.n_points - 1)
@@ -145,9 +150,13 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     # The start table is freed before the graph stage, whose peak it would
     # add to.
     del idx, dist
-    graph = build_neighbor_graph(cloud, k, edge_dst, radii)
+    graph, overlaps = build_neighbor_graph(cloud, k, edge_dst, radii)
     gradients = compute_gradient_field(graph, cloud, d)
-    edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
+    edges = build_delta_f_edges(
+        graph, overlaps, gradients, cloud, eps2_min=cfg.eps2_min
+    )
+    # Read by the edge kernel only; freed before the assembly's peak.
+    del overlaps
 
     system = assemble_system(edges)
     estimate = solve_bmti(

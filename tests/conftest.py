@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bmti import geometry
+from bmti.delta_f import DeltaFEdgeSet
 from bmti.geometry import PointCloud, knn_query_all
 from bmti.intrinsic_dim import estimate_id_twonn
 from bmti.neighborhoods import K_MAX, build_neighbor_graph, select_adaptive_k
@@ -67,9 +68,30 @@ def table_rows(k, idx, dist):
     return edge_dst, dist[np.arange(counts.shape[0]), counts - 1]
 
 
-def neighbor_graph(cloud: PointCloud, k):
+def graph_and_overlaps(cloud: PointCloud, k):
+    """build_neighbor_graph's (graph, overlaps) for sizes k."""
     table = knn_query_all(cloud, int(np.max(k)) - 1)
     return build_neighbor_graph(cloud, k, *table_rows(k, *table))
+
+
+def neighbor_graph(cloud: PointCloud, k):
+    return graph_and_overlaps(cloud, k)[0]
+
+
+def edge_set(src, dst, delta_f, eps2, n: int) -> DeltaFEdgeSet:
+    """A hand-made edge set for the solver over n points: zero gradient
+    covariances, so no directional spread, and no correlation."""
+    src = np.asarray(src, dtype=np.int64)
+    return DeltaFEdgeSet(
+        src=src,
+        dst=np.asarray(dst, dtype=np.int64),
+        delta_f=np.asarray(delta_f, dtype=np.float64),
+        eps2=np.asarray(eps2, dtype=np.float64),
+        pearson=np.zeros(src.shape[0]),
+        n_points=n,
+        var_g=np.zeros((n, 1, 1)),
+        points=np.zeros((n, 1)),
+    )
 
 
 def count_knn_queries(monkeypatch) -> list:

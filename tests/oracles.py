@@ -1,12 +1,13 @@
-"""Scalar references for the vectorized stage kernels and the edge dump.
+"""Scalar references for the vectorized stage kernels and the file writers.
 
 Each function computes, for one point or one edge, straight from the
-definitions and the neighbour lists, an entry of what build_neighbor_graph,
-compute_gradient_field or build_delta_f_edges compute for all of them at
-once; laplacian_system adds up the solver's matrix one edge at a time, and
-component_labels joins the solver's components one edge at a time;
-dump_edges_rows writes `bmti estimate --dump-edges` one csv row at a
-time. The tests compare the two.
+definitions and the neighbour lists (neighbors), an entry of what
+build_neighbor_graph, compute_gradient_field or build_delta_f_edges compute
+for all of them at once; laplacian_system adds up the solver's matrix one
+edge at a time, and component_labels joins the solver's components one edge
+at a time; dump_edges_rows writes `bmti estimate --dump-edges` and
+parity_export_rows writes evaluation.parity_export one csv row at a time.
+The tests compare the two.
 """
 
 from __future__ import annotations
@@ -25,13 +26,20 @@ from bmti.neighborhoods import NeighborGraph
 # Neighbourhood overlaps.
 
 
+def neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
+    """The k[i] - 1 nearest neighbours of i, nearest first: row i of the
+    graph's CSR edge list, a view into edge_dst."""
+    start = int((graph.k[:i] - 1).sum())
+    return graph.edge_dst[start : start + int(graph.k[i]) - 1]
+
+
 def overlap_count(graph: NeighborGraph, i: int, j: int) -> int:
     """|Omega_i & Omega_j| with centres counted, from the neighbour lists."""
     if i == j:
         return int(graph.k[i])
-    a = set(graph.neighbors[i].tolist())
+    a = set(neighbors(graph, i).tolist())
     a.add(i)
-    b = set(graph.neighbors[j].tolist())
+    b = set(neighbors(graph, j).tolist())
     b.add(j)
     return len(a & b)
 
@@ -58,7 +66,7 @@ def _check_point(graph: NeighborGraph, i: int) -> None:
 def sample_mean_shift(graph: NeighborGraph, cloud: PointCloud, i: int) -> np.ndarray:
     """Average displacement from point i to its listed neighbours."""
     _check_point(graph, i)
-    nb = graph.neighbors[i]
+    nb = neighbors(graph, i)
     return (cloud.points[nb] - cloud.points[i]).mean(axis=0)
 
 
@@ -93,7 +101,7 @@ def gradient_autocovariance(
     r = graph.radii[i]
     if r <= 0.0:
         raise DataError(f"point {i} has zero neighbourhood radius")
-    y = cloud.points[graph.neighbors[i]] - cloud.points[i]
+    y = cloud.points[neighbors(graph, i)] - cloud.points[i]
     m_hat = y.mean(axis=0)
     yc = y - m_hat
     bracket = yc.T @ yc / (k - 1)
@@ -122,8 +130,8 @@ def shift_cross_covariance(
     _check_point(graph, i)
     _check_point(graph, j)
     dim = cloud.embed_dim
-    omega_i = set(graph.neighbors[i].tolist()) | {i}
-    omega_j = set(graph.neighbors[j].tolist()) | {j}
+    omega_i = set(neighbors(graph, i).tolist()) | {i}
+    omega_j = set(neighbors(graph, j).tolist()) | {j}
     shared = np.array(sorted((omega_i & omega_j) - {i, j}), dtype=np.int64)
     if shared.size == 0:
         return np.zeros((dim, dim))
@@ -270,3 +278,19 @@ def dump_edges_rows(edges, path, float_fmt: str = "%.17g") -> None:
                     float_fmt % edges.pearson[a],
                 ]
             )
+
+
+# Parity export.
+
+
+def parity_export_rows(predicted, truth, path) -> None:
+    """evaluation.parity_export's CSV, one csv.writer row per point, for
+    finite inputs of equal length."""
+    p = np.asarray(predicted, dtype=np.float64).ravel()
+    t = np.asarray(truth, dtype=np.float64).ravel()
+    offset = float((t - p).mean()) if p.size else 0.0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["F_true", "F_hat_aligned"])
+        for ti, pi in zip(t, p + offset):
+            writer.writerow([f"{ti:.17g}", f"{pi:.17g}"])

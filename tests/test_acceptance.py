@@ -12,12 +12,19 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import adaptive_k, neighbor_graph, record_criterion, twonn
-from oracles import jaccard_overlap
+from conftest import (
+    adaptive_k,
+    edge_set,
+    graph_and_overlaps,
+    neighbor_graph,
+    record_criterion,
+    twonn,
+)
+from oracles import jaccard_overlap, neighbors
 
 from bmti.baselines import abramson_k, gkde_density, knn_density
 from bmti.datasets import generate_dataset, make_potential, sample_mcmc
-from bmti.delta_f import DeltaFEdgeSet, build_delta_f_edges, calibration_report
+from bmti.delta_f import build_delta_f_edges, calibration_report
 from bmti.evaluation import align_and_mae
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
@@ -226,7 +233,7 @@ def _disjoint_points(graph):
     taken = np.zeros(graph.n_points, dtype=bool)
     keep = []
     for i in range(graph.n_points):
-        omega = np.append(graph.neighbors[i], i)
+        omega = np.append(neighbors(graph, i), i)
         if not taken[omega].any():
             taken[omega] = True
             keep.append(i)
@@ -316,12 +323,7 @@ def _random_edge_instance(rng, n):
     dst_m = np.concatenate([dst, src])
     delta_m = np.concatenate([delta, -delta])
     eps2_m = np.concatenate([eps2, eps2])
-    e = src_m.shape[0]
-    return DeltaFEdgeSet(
-        src=src_m, dst=dst_m, delta_f=delta_m, eps2=eps2_m,
-        eps_src=np.zeros(e), eps_dst=np.zeros(e),
-        pearson=np.zeros(e), n_points=n,
-    )
+    return edge_set(src_m, dst_m, delta_m, eps2_m, n)
 
 
 def _center_per_component(values, labels):
@@ -359,12 +361,7 @@ def test_criterion_4_solver_oracle_equivalence():
     # Two-node closed form: variance is eps2/8 at float precision.
     two_node_exact = True
     for eps2 in (2.0, 0.5, 8.0, 0.7, 1.3, 3.7):
-        e = DeltaFEdgeSet(
-            src=np.array([0, 1]), dst=np.array([1, 0]),
-            delta_f=np.array([3.0, -3.0]), eps2=np.array([eps2, eps2]),
-            eps_src=np.zeros(2), eps_dst=np.zeros(2),
-            pearson=np.zeros(2), n_points=2,
-        )
+        e = edge_set([0, 1], [1, 0], [3.0, -3.0], [eps2, eps2], 2)
         var = estimate_uncertainties(assemble_system(e))
         if not np.allclose(var, eps2 / 8.0, rtol=5e-16, atol=0.0):
             two_node_exact = False
@@ -396,13 +393,10 @@ def test_criterion_5_consistent_path_exactness():
         truth = coef[0] * pts[:, 0] + coef[1] * pts[:, 1] + coef[2] * (
             pts[:, 0] ** 2 + pts[:, 1] ** 2
         )
-        e = graph.edge_src.shape[0]
-        edges = DeltaFEdgeSet(
-            src=graph.edge_src, dst=graph.edge_dst,
-            delta_f=truth[graph.edge_dst] - truth[graph.edge_src],
-            eps2=rng.uniform(0.1, 2.0, size=e),
-            eps_src=np.zeros(e), eps_dst=np.zeros(e),
-            pearson=np.zeros(e), n_points=n,
+        edges = edge_set(
+            graph.edge_src, graph.edge_dst,
+            truth[graph.edge_dst] - truth[graph.edge_src],
+            rng.uniform(0.1, 2.0, size=graph.n_edges), n,
         )
         system = assemble_system(edges)
         estimate = solve_bmti(system, tol=1e-13)
@@ -448,9 +442,11 @@ def healing_cells():
         cloud = _two_gaussian_cloud(5000, seed)
         d = twonn(cloud).d
         k = adaptive_k(cloud, d)
-        graph = neighbor_graph(cloud, k)
+        graph, overlaps = graph_and_overlaps(cloud, k)
         gradients = compute_gradient_field(graph, cloud, d)
-        system = assemble_system(build_delta_f_edges(graph, gradients, cloud))
+        system = assemble_system(
+            build_delta_f_edges(graph, overlaps, gradients, cloud)
+        )
         anchor = knn_anchor(graph, cloud, d)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -569,9 +565,9 @@ def test_criterion_7_invariance_suite():
         pts = rng.normal(size=(n, 2))
         cloud = PointCloud(points=pts)
         k = np.full(n, int(rng.integers(6, 11)))
-        graph = neighbor_graph(cloud, k)
+        graph, overlaps = graph_and_overlaps(cloud, k)
         field = compute_gradient_field(graph, cloud, 2.0)
-        edges = build_delta_f_edges(graph, field, cloud)
+        edges = build_delta_f_edges(graph, overlaps, field, cloud)
         index = {
             (int(s), int(d)): a
             for a, (s, d) in enumerate(zip(edges.src, edges.dst))

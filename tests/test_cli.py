@@ -155,7 +155,7 @@ def test_estimate_knn_id_queries_one_table(tmp_path, gauss_csv, monkeypatch):
 
 
 def test_dump_edges_bytes_match_row_writer(tmp_path, gauss_csv, monkeypatch):
-    monkeypatch.setattr("bmti.cli._DUMP_ROWS", 100)  # several chunks
+    monkeypatch.setattr("bmti.evaluation._CSV_ROWS", 100)  # several chunks
     out = tmp_path / "edges.csv"
     rc = main(
         ["estimate", "--method", "bmti", "--input", str(gauss_csv),

@@ -333,7 +333,32 @@ def test_swiss_roll_coordinates():
     assert unrotated[1, 2] == pytest.approx(1.0, rel=1e-12)
     assert unrotated[2, 0] == pytest.approx(np.cos(1.0), rel=1e-12)
     assert unrotated[2, 1] == pytest.approx(np.sin(1.0), rel=1e-12)
-    assert np.array_equal(out.truth_F, cloud.truth_F)
+    assert np.array_equal(out.truth_F, cloud.truth_F + 0.5 * np.log1p(pts[:, 0] ** 2))
+
+
+def test_swiss_roll_truth_adds_the_log_area_stretch():
+    # The rolled density on the surface is rho / sqrt(det J^T J), J the
+    # Jacobian of the whole map (roll, padding, rotation) from the base
+    # coordinates; J here comes from central differences of the map itself.
+    from bmti.geometry import PointCloud
+
+    rng = np.random.default_rng(11)
+    pts = np.column_stack([rng.uniform(-12.0, 12.0, 240), rng.normal(size=240)])
+    spec = EmbeddingSpec(target_dim=20, rotation_seed=3)
+    added = swiss_roll_embed(PointCloud(points=pts, truth_F=np.zeros(240)), spec)
+    h = 1e-5
+    jac = np.stack(
+        [
+            (
+                swiss_roll_embed(PointCloud(points=pts + h * step), spec).points
+                - swiss_roll_embed(PointCloud(points=pts - h * step), spec).points
+            ) / (2.0 * h)
+            for step in np.eye(2)
+        ],
+        axis=2,
+    )
+    _, logdet = np.linalg.slogdet(np.einsum("nka,nkb->nab", jac, jac))
+    np.testing.assert_allclose(added.truth_F, 0.5 * logdet, rtol=0, atol=1e-6)
 
 
 def test_swiss_roll_rotation_preserves_distances():
@@ -386,4 +411,4 @@ def test_generate_dataset_rolled_matches_manual_embedding():
     manual = swiss_roll_embed(base, EmbeddingSpec(target_dim=20, rotation_seed=4))
     assert rolled.points.shape == (50, 20)
     assert np.array_equal(rolled.points, manual.points)
-    assert np.array_equal(rolled.truth_F, base.truth_F)
+    assert np.array_equal(rolled.truth_F, manual.truth_F)

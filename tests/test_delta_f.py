@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import neighbor_graph
+from conftest import graph_and_overlaps
 from oracles import (
     delta_f_variance,
     directional_delta_f,
@@ -30,9 +30,9 @@ def constant_field(n: int, g: np.ndarray, var: np.ndarray) -> GradientField:
 def pipeline_stages(rng, n=150, dim=2, k=10):
     pts = rng.standard_normal((n, dim))
     cloud = PointCloud(points=pts)
-    graph = neighbor_graph(cloud, np.full(n, k))
+    graph, overlaps = graph_and_overlaps(cloud, np.full(n, k))
     field = compute_gradient_field(graph, cloud, float(dim))
-    return cloud, graph, field
+    return cloud, graph, overlaps, field
 
 
 def test_constant_gradient_linear_landscape(rng):
@@ -47,7 +47,7 @@ def test_constant_gradient_linear_landscape(rng):
 
 
 def test_antisymmetry_exact(rng):
-    cloud, graph, field = pipeline_stages(rng)
+    cloud, _, _, field = pipeline_stages(rng)
     for i, j in [(0, 1), (10, 99), (42, 7)]:
         assert estimate_delta_f(field, cloud, i, j) == -estimate_delta_f(
             field, cloud, j, i
@@ -110,12 +110,12 @@ def test_variance_ignores_estimate_signs(rng):
     # The error correlation comes from the shared points, not from the signs
     # of the two directional estimates: flipping every estimate leaves the
     # error bars alone.
-    cloud, graph, field = pipeline_stages(rng, n=80, k=8)
+    cloud, graph, overlaps, field = pipeline_stages(rng, n=80, k=8)
     flipped = GradientField(
         g=-field.g, var_g=field.var_g, mean_shift=field.mean_shift, scale=field.scale
     )
-    a = build_delta_f_edges(graph, field, cloud)
-    b = build_delta_f_edges(graph, flipped, cloud)
+    a = build_delta_f_edges(graph, overlaps, field, cloud)
+    b = build_delta_f_edges(graph, overlaps, flipped, cloud)
     np.testing.assert_array_equal(b.delta_f, -a.delta_f)
     np.testing.assert_array_equal(b.pearson, a.pearson)
     np.testing.assert_array_equal(b.eps2, a.eps2)
@@ -132,23 +132,34 @@ def test_variance_guards():
         delta_f_variance(-0.5, 0.5, 0.5)
 
 
-def edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
+def edges_in_default_and_tiny_batches(graph, overlaps, field, cloud, monkeypatch):
     """The edge set at the default batch budget, then in batches of a few
-    edges on four threads, so that batch boundaries fall inside the graph."""
-    sets = [build_delta_f_edges(graph, field, cloud)]
+    edges on four threads, so that batch boundaries fall inside the graph;
+    the directional spreads of each are read at the budget it was built at."""
+
+    def built():
+        edges = build_delta_f_edges(graph, overlaps, field, cloud)
+        edges.eps_src, edges.eps_dst  # computed on first read
+        return edges
+
+    sets = [built()]
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "_BATCH_ENTRIES", 64)
         patch.setattr(geometry, "_WORKERS", 4)
-        sets.append(build_delta_f_edges(graph, field, cloud))
+        sets.append(built())
     return sets
 
 
 def test_edge_set_matches_scalar_operations(rng, monkeypatch):
-    cloud, graph, field = pipeline_stages(rng, n=120, k=9)
-    default, edges = edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch)
+    cloud, graph, overlaps, field = pipeline_stages(rng, n=120, k=9)
+    default, edges = edges_in_default_and_tiny_batches(
+        graph, overlaps, field, cloud, monkeypatch
+    )
     for name in ("delta_f", "eps2", "eps_src", "eps_dst", "pearson"):
         assert np.array_equal(getattr(edges, name), getattr(default, name))
     assert edges.n_edges == graph.n_edges
+    # The spreads are read off the gradient field and the cloud, not copies.
+    assert edges.var_g is field.var_g and edges.points is cloud.points
     sel = rng.integers(0, edges.n_edges, size=200)
     for e in sel:
         i, j = int(edges.src[e]), int(edges.dst[e])
@@ -166,8 +177,8 @@ def test_edge_set_matches_scalar_operations(rng, monkeypatch):
 
 
 def test_edge_antisymmetry_over_mutual_pairs(rng):
-    cloud, graph, field = pipeline_stages(rng, n=100, k=12)
-    edges = build_delta_f_edges(graph, field, cloud)
+    cloud, graph, overlaps, field = pipeline_stages(rng, n=100, k=12)
+    edges = build_delta_f_edges(graph, overlaps, field, cloud)
     table = {}
     for e in range(edges.n_edges):
         table[(int(edges.src[e]), int(edges.dst[e]))] = edges.delta_f[e]
@@ -190,11 +201,11 @@ def test_twin_square_edge_correlation_from_shared_points():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [50.0, 50.0]]
     )
     cloud = PointCloud(points=pts)
-    graph = neighbor_graph(cloud, np.full(5, 4))
+    graph, overlaps = graph_and_overlaps(cloud, np.full(5, 4))
     field = compute_gradient_field(graph, cloud, 2.0)
     np.testing.assert_allclose(field.g[0], [-4.0 / 3.0, -4.0 / 3.0], rtol=1e-14)
     np.testing.assert_allclose(field.g[1], [4.0 / 3.0, -4.0 / 3.0], rtol=1e-14)
-    edges = build_delta_f_edges(graph, field, cloud)
+    edges = build_delta_f_edges(graph, overlaps, field, cloud)
     e = 0  # first listed edge is 0 -> 1
     assert (int(edges.src[e]), int(edges.dst[e])) == (0, 1)
     assert directional_delta_f(field, cloud, 0, 1, 0)[0] == pytest.approx(
@@ -214,9 +225,9 @@ def test_calibration_exact_estimates_give_zero_pulls(rng):
     pts = rng.standard_normal((50, 2))
     truth = rng.standard_normal(50)
     cloud = PointCloud(points=pts, truth_F=truth)
-    graph = neighbor_graph(cloud, np.full(50, 6))
+    graph, overlaps = graph_and_overlaps(cloud, np.full(50, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, field, cloud)
+    edges = build_delta_f_edges(graph, overlaps, field, cloud)
     edges.delta_f = truth[edges.dst] - truth[edges.src]
     stats = calibration_report(edges, cloud)
     assert stats.mean == pytest.approx(0.0, abs=1e-9)
@@ -228,9 +239,9 @@ def test_calibration_normal_pulls_pass_ks(rng):
     pts = rng.standard_normal((200, 2))
     truth = rng.standard_normal(200)
     cloud = PointCloud(points=pts, truth_F=truth)
-    graph = neighbor_graph(cloud, np.full(200, 8))
+    graph, overlaps = graph_and_overlaps(cloud, np.full(200, 8))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, field, cloud)
+    edges = build_delta_f_edges(graph, overlaps, field, cloud)
     z = rng.standard_normal(edges.n_edges)
     edges.delta_f = truth[edges.dst] - truth[edges.src] + np.sqrt(edges.eps2) * z
     stats = calibration_report(edges, cloud)
@@ -240,24 +251,26 @@ def test_calibration_normal_pulls_pass_ks(rng):
 
 
 def test_calibration_requires_truth(rng):
-    cloud, graph, field = pipeline_stages(rng, n=40, k=5)
-    edges = build_delta_f_edges(graph, field, cloud)
+    cloud, graph, overlaps, field = pipeline_stages(rng, n=40, k=5)
+    edges = build_delta_f_edges(graph, overlaps, field, cloud)
     with pytest.raises(ParameterError):
         calibration_report(edges, cloud)
 
 
 def test_edge_builder_rejects_bad_floor(rng):
-    cloud, graph, field = pipeline_stages(rng, n=40, k=5)
+    cloud, graph, overlaps, field = pipeline_stages(rng, n=40, k=5)
     with pytest.raises(ParameterError):
-        build_delta_f_edges(graph, field, cloud, eps2_min=0.0)
+        build_delta_f_edges(graph, overlaps, field, cloud, eps2_min=0.0)
 
 
 def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
-    cloud, graph, field = pipeline_stages(rng, n=80, k=6)
+    cloud, graph, overlaps, field = pipeline_stages(rng, n=80, k=6)
     # Forms negative by roundoff only are clamped to 0: no spread, no
     # correlation, eps2 at the floor.
     tiny = constant_field(80, [1.0, 0.0], -1e-12 * np.eye(2))
-    for edges in edges_in_default_and_tiny_batches(graph, tiny, cloud, monkeypatch):
+    for edges in edges_in_default_and_tiny_batches(
+        graph, overlaps, tiny, cloud, monkeypatch
+    ):
         assert np.all(edges.eps_src == 0.0) and np.all(edges.eps_dst == 0.0)
         assert np.all(edges.pearson == 0.0) and np.all(edges.eps2 == EPS2_MIN)
     # One point far from PSD raises, in whichever batch its edges fall.
@@ -268,9 +281,9 @@ def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
             g=field.g, var_g=var, mean_shift=field.mean_shift, scale=field.scale
         )
         with pytest.raises(DataError):
-            build_delta_f_edges(graph, bad, cloud)
+            build_delta_f_edges(graph, overlaps, bad, cloud)
         with monkeypatch.context() as patch:
             patch.setattr(geometry, "_BATCH_ENTRIES", 64)
             patch.setattr(geometry, "_WORKERS", 4)
             with pytest.raises(DataError):
-                build_delta_f_edges(graph, bad, cloud)
+                build_delta_f_edges(graph, overlaps, bad, cloud)

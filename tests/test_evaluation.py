@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import kstest
 
 from conftest import count_knn_queries, twonn
+from oracles import parity_export_rows
 
 from bmti.baselines import abramson_k, knn_density
 from bmti.datasets import generate_dataset
@@ -100,6 +101,20 @@ def test_parity_export_empty(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["F_true", "F_hat_aligned"]]
+
+
+@pytest.mark.parametrize("n", [0, 1, 23])
+def test_parity_export_bytes_match_row_writer(tmp_path, monkeypatch, n):
+    monkeypatch.setattr("bmti.evaluation._CSV_ROWS", 5)  # several chunks
+    rng = np.random.default_rng(n)
+    truth = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    predicted = truth + rng.normal(size=n)
+    truth[: n // 3] = -0.0
+    parity_export(predicted, truth, tmp_path / "chunked.csv")
+    parity_export_rows(predicted, truth, tmp_path / "rows.csv")
+    got = (tmp_path / "chunked.csv").read_bytes()
+    assert got == (tmp_path / "rows.csv").read_bytes()
+    assert got.count(b"\r\n") == n + 1
 
 
 def test_parity_export_length_mismatch(tmp_path):
@@ -256,6 +271,45 @@ def test_benchmark_config_validation():
             {"datasets": ["gauss2d"], "methods": ["knn"], "workers": 2,
              "seed": [0]}
         )
+
+
+_KNN_CELLS = {"datasets": ["gauss2d"], "methods": ["knn"]}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seeds", "12"),
+        ("seeds", [1.7]),
+        ("seeds", [0, True]),
+        ("seeds", 3),
+        ("sizes", [300.0]),
+        ("sizes", [None, False]),
+        ("sizes", "300"),
+        ("estimator_params", {"knn": 5}),
+        ("estimator_params", {"knn": [("k", 5)]}),
+    ],
+    ids=lambda v: repr(v),
+)
+def test_benchmark_config_value_types(monkeypatch, key, value):
+    cells = []
+    monkeypatch.setattr("bmti.evaluation._run_cell", lambda *cell: cells.append(cell))
+    with pytest.raises(ParameterError, match=key):
+        run_benchmark({**_KNN_CELLS, key: value})
+    assert cells == []
+
+
+def test_benchmark_config_accepts_integer_seeds_and_sizes(monkeypatch):
+    cells = []
+    monkeypatch.setattr("bmti.evaluation._run_cell", lambda *cell: cells.append(cell))
+    run_benchmark(
+        {**_KNN_CELLS, "seeds": [np.int64(4), 2], "sizes": [None, 300],
+         "estimator_params": {"knn": {"k": 5}}}
+    )
+    assert [(seed, n) for _, _, seed, n, _ in cells] == [
+        (4, None), (4, 300), (2, None), (2, 300)
+    ]
+    assert all(params == {"k": 5} for *_, params in cells)
 
 
 def test_benchmark_report_files(tmp_path, small_benchmark):

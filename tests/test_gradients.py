@@ -10,6 +10,7 @@ from oracles import (
     estimate_gradient,
     gradient_autocovariance,
     gradient_cross_covariance,
+    neighbors,
     sample_mean_shift,
 )
 
@@ -19,17 +20,15 @@ from bmti.gradients import compute_gradient_field
 from bmti.neighborhoods import NeighborGraph
 
 
-def manual_graph(k, neighbors, radii):
+def manual_graph(k, rows, radii):
     """Graph stub for per-point unit cases: the edge list of the given
-    neighbour lists, shared-point arrays left empty."""
-    counts = [len(nb) for nb in neighbors]
+    neighbour lists."""
+    counts = [len(nb) for nb in rows]
     return NeighborGraph(
         k=np.asarray(k, dtype=np.int64),
         radii=np.asarray(radii, dtype=np.float64),
-        edge_src=np.repeat(np.arange(len(neighbors), dtype=np.int64), counts),
-        edge_dst=np.concatenate(neighbors).astype(np.int64),
-        edge_shared=np.empty(0, dtype=np.int64),
-        edge_shared_moments=np.empty((0, 2)),
+        edge_src=np.repeat(np.arange(len(rows), dtype=np.int64), counts),
+        edge_dst=np.concatenate(rows).astype(np.int64),
     )
 
 
@@ -62,7 +61,7 @@ def test_gradient_hand_line_case():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [100.0, 100.0], [101.0, 100.0]])
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.full(5, 3))
-    assert graph.neighbors[0].tolist() == [1, 2]
+    assert neighbors(graph, 0).tolist() == [1, 2]
     assert graph.radii[0] == 3.0
     np.testing.assert_allclose(sample_mean_shift(graph, cloud, 0), [2.0, 0.0])
     np.testing.assert_allclose(
@@ -76,7 +75,7 @@ def test_gradient_field_hand_values():
     )
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.full(5, 4))
-    assert graph.neighbors[0].tolist() == [3, 1, 2]
+    assert neighbors(graph, 0).tolist() == [3, 1, 2]
     assert graph.radii[0] == 1.0
     field = compute_gradient_field(graph, cloud, 2.0)
     np.testing.assert_allclose(field.mean_shift[0], [0.0, 1.0 / 6.0], rtol=1e-14)
@@ -187,9 +186,9 @@ def test_cross_covariance_against_bootstrap():
     graph = neighbor_graph(cloud, np.full(1200, 64))
     checked = 0
     for i in (3, 101, 555):
-        j = int(graph.neighbors[i][0])
-        om_i = set(graph.neighbors[i].tolist()) | {i}
-        om_j = set(graph.neighbors[j].tolist()) | {j}
+        j = int(neighbors(graph, i)[0])
+        om_i = set(neighbors(graph, i).tolist()) | {i}
+        om_j = set(neighbors(graph, j).tolist()) | {j}
         shared = sorted((om_i & om_j) - {i, j})
         if len(shared) < 20:
             continue

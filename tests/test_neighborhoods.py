@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import adaptive_k, neighbor_graph, table_rows
-from oracles import component_labels, jaccard_overlap, overlap_count
+from conftest import adaptive_k, graph_and_overlaps, neighbor_graph, table_rows
+from oracles import component_labels, jaccard_overlap, neighbors, overlap_count
 
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
@@ -165,9 +165,9 @@ def test_graph_structure_line_points():
     pts = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.array([3, 4, 3, 3, 3, 3]))
-    assert graph.neighbors[0].tolist() == [1, 2]
-    assert graph.neighbors[1].tolist() == [0, 2, 3]
-    assert np.shares_memory(graph.neighbors[1], graph.edge_dst)
+    assert neighbors(graph, 0).tolist() == [1, 2]
+    assert neighbors(graph, 1).tolist() == [0, 2, 3]
+    assert np.shares_memory(neighbors(graph, 1), graph.edge_dst)
     assert graph.radii[0] == 2.0
     assert graph.radii[1] == 9.0
     assert graph.n_edges == 13  # sum(k - 1)
@@ -179,13 +179,14 @@ def test_graph_structure_line_points():
 
 
 def graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
-    """The graph at the default batch budget, then in batches of a few pairs
-    on four threads, so that every batch boundary meets the oracle."""
-    graphs = [neighbor_graph(cloud, k)]
+    """The graph and its overlaps at the default batch budget, then in
+    batches of a few pairs on four threads, so that every batch boundary
+    meets the oracle."""
+    graphs = [graph_and_overlaps(cloud, k)]
     with monkeypatch.context() as patch:
         patch.setattr(geometry, "_BATCH_ENTRIES", 64)
         patch.setattr(geometry, "_WORKERS", 4)
-        graphs.append(neighbor_graph(cloud, k))
+        graphs.append(graph_and_overlaps(cloud, k))
     return graphs
 
 
@@ -195,15 +196,15 @@ def test_shared_moments_match_set_intersection(rng, monkeypatch):
     pts = rng.standard_normal((80, 2)) + np.array([40.0, -25.0])
     cloud = PointCloud(points=pts)
     k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    for graph in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
-        sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
+    for graph, overlaps in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
+        sets = [set(neighbors(graph, i).tolist()) | {i} for i in range(80)]
         for e in range(graph.n_edges):
             i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
             shared = sorted((sets[i] & sets[j]) - {i, j})
-            assert graph.edge_shared[e] == len(shared)
+            assert overlaps.shared[e] == len(shared)
             a = (pts[shared] - pts[i]) @ (pts[j] - pts[i])
             np.testing.assert_allclose(
-                graph.edge_shared_moments[e], [a.sum(), (a * a).sum()],
+                overlaps.moments[e], [a.sum(), (a * a).sum()],
                 rtol=1e-9, atol=1e-11,
             )
 
@@ -212,12 +213,12 @@ def test_overlap_table_matches_set_intersection(rng, monkeypatch):
     pts = rng.standard_normal((80, 2))
     cloud = PointCloud(points=pts)
     k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    for graph in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
-        sets = [set(graph.neighbors[i].tolist()) | {i} for i in range(80)]
+    for graph, overlaps in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
+        sets = [set(neighbors(graph, i).tolist()) | {i} for i in range(80)]
         for e in range(graph.n_edges):
             i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
             mutual = i in sets[j]
-            assert graph.edge_shared[e] + 1 + mutual == len(sets[i] & sets[j])
+            assert overlaps.shared[e] + 1 + mutual == len(sets[i] & sets[j])
         for i in range(0, 80, 7):
             for j in range(0, 80, 11):
                 want = len(sets[i] & sets[j])
@@ -242,10 +243,10 @@ def test_radii_match_listed_neighbours(rng):
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(cloud, np.full(70, 6))
     for i in range(70):
-        last = graph.neighbors[i][-1]
+        last = neighbors(graph, i)[-1]
         d = float(np.linalg.norm(pts[last] - pts[i]))
         assert graph.radii[i] == pytest.approx(d, abs=1e-12)
-        gaps = np.linalg.norm(pts[graph.neighbors[i]] - pts[i], axis=1)
+        gaps = np.linalg.norm(pts[neighbors(graph, i)] - pts[i], axis=1)
         assert np.all(np.diff(gaps) >= 0)
 
 

@@ -5,8 +5,11 @@ permutations, isometries and rescaling."""
 
 from __future__ import annotations
 
+import importlib.util
+import math
 import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_knn_queries, neighbor_graph, twonn
+from conftest import count_knn_queries, graph_and_overlaps, twonn
 
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
@@ -54,9 +57,9 @@ def test_knn_table_grown_by_rows_and_stages_by_hand(monkeypatch):
     # k the full 255 columns, so the grown table must give the same sizes.
     d = twonn(cloud).d
     k, _, _ = select_adaptive_k(cloud, *geometry.knn_query_all(cloud, 255), d)
-    graph = neighbor_graph(cloud, k)
+    graph, overlaps = graph_and_overlaps(cloud, k)
     gradients = compute_gradient_field(graph, cloud, d)
-    edges = build_delta_f_edges(graph, gradients, cloud)
+    edges = build_delta_f_edges(graph, overlaps, gradients, cloud)
     estimate = solve_bmti(assemble_system(edges))
     assert result.d_used == d
     np.testing.assert_array_equal(result.graph.k, k)
@@ -184,17 +187,29 @@ def test_run_bmti_invariant_under_isometry_and_rescaling(
 
 def test_results_independent_of_threads_and_batches(monkeypatch):
     cloud = generate_dataset("mb2d", n=600, seed=4)
+    build_graph = pipeline.build_neighbor_graph
 
     def stages():
-        result = run_bmti(cloud)
-        graph, gradients, edges = result.graph, result.gradients, result.edges
+        # The overlaps are not part of the result; keep them from the call.
+        built = []
+
+        def kept(*args):
+            built.append(build_graph(*args))
+            return built[-1]
+
+        with mock.patch.object(pipeline, "build_neighbor_graph", kept):
+            result = run_bmti(cloud)
+        ((_, overlaps),) = built
+        gradients, edges = result.gradients, result.edges
         return {
-            "edge_shared": graph.edge_shared,
-            "edge_shared_moments": graph.edge_shared_moments,
+            "overlaps.shared": overlaps.shared,
+            "overlaps.moments": overlaps.moments,
             "g": gradients.g,
             "var_g": gradients.var_g,
             "delta_f": edges.delta_f,
             "eps2": edges.eps2,
+            "eps_src": edges.eps_src,
+            "eps_dst": edges.eps_dst,
             "pearson": edges.pearson,
             "F": result.F,
         }
@@ -304,3 +319,33 @@ def test_config_is_frozen():
     cfg = BmtiConfig()
     with pytest.raises(AttributeError):
         cfg.alpha = 0.5
+
+
+def test_benchmark_reads_every_layer_count_of_a_result(monkeypatch):
+    # perfbench reads these counts off the result of a traced run; one whose
+    # source is gone is left out, and the run still exits 0, so a rename or
+    # a deleted attribute would go unnoticed there. The harness is loaded by
+    # path, under a name of its own, as it ships.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
+    spec = importlib.util.spec_from_file_location("bmti_perfbench_bench", path)
+    bench = importlib.util.module_from_spec(spec)
+    # Registered while it runs: its dataclasses look their module up.
+    monkeypatch.setitem(sys.modules, spec.name, bench)
+    spec.loader.exec_module(bench)
+    cfg = BmtiConfig()
+    result = run_bmti(generate_dataset("mb2d", n=400, seed=0), cfg)
+    counts = bench.result_counts(result, cfg)
+    assert sorted(counts) == sorted(
+        [
+            "intrinsic_dim.d",
+            "neighborhoods.edges",
+            "neighborhoods.overlap_pairs",
+            "neighborhoods.k_mean",
+            "neighborhoods.k_sat_frac",
+            "geometry.knn.useful_frac",
+            "delta_f.eps2_floor",
+            "delta_f.qform_clamped",
+            "solver.cg_iterations",
+        ]
+    )
+    assert all(math.isfinite(value) for value in counts.values())
