@@ -179,7 +179,6 @@ def make_potential(
     name: str,
     beta: float | None = None,
     sigma: np.ndarray | None = None,
-    centers_seed: int = GLASSY_CENTER_SEED,
 ) -> Potential:
     """Build one of the named benchmark potentials.
 
@@ -227,7 +226,7 @@ def make_potential(
             bounds_low=low, bounds_high=high,
         )
     if name == "glassy2d":
-        centers = glassy_centers(centers_seed)
+        centers = glassy_centers()
 
         def energy(pts, _c=centers):
             return -np.log(glassy_density(pts, _c))
@@ -340,14 +339,11 @@ class EmbeddingSpec:
     """Swiss-roll embedding parameters.
 
     target_dim is the final embedding dimension; rotation_seed fixes the
-    random orthogonal rotation; pad_dim, when given, must equal the number
-    of zero columns inserted before rotating (target_dim - base_dim - 1)
-    and otherwise is derived.
+    random orthogonal rotation.
     """
 
     target_dim: int = 20
     rotation_seed: int = 0
-    pad_dim: int | None = None
 
 
 def rotation_matrix(spec: EmbeddingSpec) -> np.ndarray:
@@ -378,11 +374,6 @@ def swiss_roll_embed(cloud: PointCloud, spec: EmbeddingSpec) -> PointCloud:
             f"target_dim {spec.target_dim} cannot hold {base}+1 rolled coordinates"
         )
     pad = spec.target_dim - (base + 1)
-    if spec.pad_dim is not None and spec.pad_dim != pad:
-        raise ParameterError(
-            f"pad_dim {spec.pad_dim} inconsistent with target_dim {spec.target_dim} "
-            f"and base dimension {base} (expected {pad})"
-        )
     x1 = cloud.points[:, 0]
     cols = [x1 * np.cos(x1), x1 * np.sin(x1), cloud.points[:, 1:]]
     if pad:

@@ -5,7 +5,8 @@ two endpoint gradients, plus an error bar that accounts for the correlation
 between the two endpoint estimates. That correlation comes from the points
 the two neighbourhoods share: it is the correlation of the two mean shifts
 projected on the edge, read from the shared-point moments of the edges'
-overlaps (neighborhoods.EdgeOverlaps). It is positive for nearly coincident
+overlaps (neighborhoods.EdgeOverlaps: intersections of the graph's own rows,
+summed once per unordered pair). It is positive for nearly coincident
 neighbourhoods and turns negative when the shared lens is thin, since a
 point in the lens pulls each mean toward the other end. Only the
 difference, its variance and the correlation span every edge; the two

@@ -177,8 +177,9 @@ def run_benchmark(
     Config keys: datasets[] and methods[] (required), seeds[] of integers
     (default [0]), sizes[] of integers or None (optional; None uses each
     dataset's default count) and estimator_params{} (per-method mappings of
-    keyword arguments); any other key, and a value of the wrong type (bool
-    and float included where an integer belongs), raises ParameterError.
+    keyword arguments). A default applies only to an absent key. Any other
+    key, an empty seeds[] or sizes[], and a value of the wrong type (bool
+    and float included where an integer belongs) raise ParameterError.
     Cells run one after another, each on every CPU. Failed cells are
     reported with an error tag; the run continues. Reports are written to
     out_json / out_csv when given.
@@ -200,17 +201,21 @@ def run_benchmark(
     for m in methods:
         if m not in METHODS:
             raise ParameterError(f"unknown method {m!r}; expected one of {METHODS}")
-    seeds = config.get("seeds") or [0]
-    sizes = config.get("sizes") or [None]
-    if not isinstance(seeds, (list, tuple)) or not all(map(_integer, seeds)):
-        raise ParameterError(f"seeds must be a list of integers, got {seeds!r}")
-    if not isinstance(sizes, (list, tuple)) or not all(
+    seeds = config.get("seeds", [0])
+    sizes = config.get("sizes", [None])
+    if not isinstance(seeds, (list, tuple)) or not seeds or not all(
+        map(_integer, seeds)
+    ):
+        raise ParameterError(
+            f"seeds must be a non-empty list of integers, got {seeds!r}"
+        )
+    if not isinstance(sizes, (list, tuple)) or not sizes or not all(
         size is None or _integer(size) for size in sizes
     ):
         raise ParameterError(
-            f"sizes must be a list of integers or None, got {sizes!r}"
+            f"sizes must be a non-empty list of integers or None, got {sizes!r}"
         )
-    estimator_params = config.get("estimator_params") or {}
+    estimator_params = config.get("estimator_params", {})
     if not isinstance(estimator_params, dict):
         raise ParameterError("estimator_params must be a mapping of method to params")
     for m, params in estimator_params.items():

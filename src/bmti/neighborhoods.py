@@ -9,9 +9,11 @@ edge, the number of points Omega_i and Omega_j share besides i and j and the
 first two moments of those points' projections on the edge, from which the
 error model downstream correlates the two endpoint estimates. Only the edge
 kernel (delta_f.build_delta_f_edges) reads them, so they are a separate
-value that the run frees after that stage. The overlaps are computed once
-per unordered pair by scipy's sparse row intersection, in batches spread
-over the CPUs (geometry._run_batches). select_adaptive_k reads the run's
+value that the run frees after that stage. The overlaps are the
+intersections of the graph's own rows (row i lists Omega_i without i),
+taken by scipy once per unordered pair and in one frame per pair, in
+batches spread over the CPUs (geometry._run_batches); the edge in the other
+direction reads the same sums reflected. select_adaptive_k reads the run's
 kNN table (geometry.knn_query_all), which may start narrower than the
 adaptive-k cap and is ragged past the start: a row is queried again, its
 new columns appended to one flat store, only when the test is about to
@@ -77,12 +79,13 @@ class EdgeOverlaps:
     Aligned with the graph's edge arrays; the edge kernel's input only.
 
     shared : ndarray, shape (E,)
-        Points shared by Omega_i and Omega_j other than i and j: the overlap
-        count |Omega_i & Omega_j| less the two centres when the edge is
-        mutual, less j otherwise.
+        Points shared by Omega_i and Omega_j other than i and j: the size of
+        the intersection of the graph's rows i and j.
     moments : ndarray, shape (E, 2)
         Sums over those shared points x of a and a^2, with
-        a = (x - x_i) . (x_j - x_i) for the edge i -> j.
+        a = (x - x_i) . (x_j - x_i) for the edge i -> j; computed once per
+        unordered pair, from the lower index, and reflected (a -> |r|^2 - a)
+        for the edge from the higher one.
     """
 
     shared: np.ndarray
@@ -276,28 +279,24 @@ def build_neighbor_graph(
     kmax = int(k.max())
     edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
 
-    # Membership matrix: row i flags Omega_i including the centre, as int8 so
-    # that the row intersections move less data. Canonical (sorted, no
-    # duplicates) before the batches read it from several threads.
-    col = np.concatenate([edge_dst, np.arange(n, dtype=np.int64)])
-    row = np.concatenate([edge_src, np.arange(n, dtype=np.int64)])
+    # The graph's rows as an int8 matrix, so that the row intersections move
+    # less data: row i is Omega_i without i, so rows i and j intersect in
+    # exactly the points shared besides i and j. Its indices are a copy that
+    # sum_duplicates sorts (edge_dst keeps neighbour order), canonical before
+    # the batches read it from several threads.
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     member = sp.csr_matrix(
-        (np.ones(col.shape[0], dtype=np.int8), (row, col)), shape=(n, n)
+        (np.ones(edge_dst.shape[0], dtype=np.int8), edge_dst.copy(), indptr),
+        shape=(n, n),
     )
-    del col, row
     member.sum_duplicates()
 
     # Overlap sums once per unordered pair (lo, hi), then scattered onto
     # edges: the count, and sums of x and x x^T over the intersection, in
     # coordinates centred on the cloud mean. Projected on r = x_hi - x_lo,
-    # they give the moments of a = (x - x_base) . (+-r) for either direction.
-    lo = np.minimum(edge_src, edge_dst)
-    hi = np.maximum(edge_src, edge_dst)
-    codes = lo * n + hi
-    del hi
-    ucodes, inverse, multiplicity = np.unique(
-        codes, return_inverse=True, return_counts=True
-    )
+    # they give the moments of a = (x - x_lo) . r.
+    codes = np.minimum(edge_src, edge_dst) * n + np.maximum(edge_src, edge_dst)
+    ucodes, inverse = np.unique(codes, return_inverse=True)
     del codes
     ulo = ucodes // n
     uhi = ucodes % n
@@ -308,7 +307,7 @@ def build_neighbor_graph(
     n_pairs = ucodes.shape[0]
     ucount = np.empty(n_pairs, dtype=np.int64)
     ur2 = np.empty(n_pairs)
-    moments = np.empty((n_pairs, 2, 2))  # [base lo, base hi] x [sum a, sum a^2]
+    moments = np.empty((n_pairs, 2))  # sum a, sum a^2
     batch = max(1, geometry._BATCH_ENTRIES // max(kmax, features.shape[1]))
 
     def overlap_batch(s: int) -> None:
@@ -323,22 +322,21 @@ def build_neighbor_graph(
         q_rr = np.zeros(e - s)
         for t, (a, b) in enumerate(zip(tri_a, tri_b)):
             q_rr += (1.0 if a == b else 2.0) * sums[:, dim + t] * r[:, a] * r[:, b]
-        for side, (base, sign) in enumerate(((ulo[s:e], 1.0), (uhi[s:e], -1.0))):
-            b_r = np.einsum("ed,ed->e", pts[base], r)
-            moments[s:e, side, 0] = sign * (p_r - count * b_r)
-            moments[s:e, side, 1] = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
+        b_r = np.einsum("ed,ed->e", pts[ulo[s:e]], r)
+        moments[s:e, 0] = p_r - count * b_r
+        moments[s:e, 1] = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
 
     geometry._run_batches(overlap_batch, n_pairs, batch)
     del member, features, ulo, uhi, ucodes
 
-    # Drop the two centres: x_dst adds a = |r|^2, x_src adds a = 0 (and is
-    # shared only on mutual edges).
-    mutual = multiplicity[inverse] == 2
-    edge_shared = ucount[inverse] - 1 - mutual
-    r2 = ur2[inverse]
-    edge_shared_moments = moments[inverse, (edge_src != lo).astype(np.int64)]
-    edge_shared_moments[:, 0] -= r2
-    edge_shared_moments[:, 1] -= r2 * r2
+    # An edge from hi sees a' = (x - x_hi) . (-r) = |r|^2 - a.
+    edge_shared = ucount[inverse]
+    edge_shared_moments = moments[inverse]
+    flip = edge_src > edge_dst
+    c, r2 = edge_shared[flip], ur2[inverse[flip]]
+    m1, m2 = edge_shared_moments[flip].T
+    edge_shared_moments[flip, 0] = c * r2 - m1
+    edge_shared_moments[flip, 1] = m2 - 2.0 * r2 * m1 + c * r2 * r2
 
     graph = NeighborGraph(
         k=k.copy(), radii=radii, edge_src=edge_src, edge_dst=edge_dst

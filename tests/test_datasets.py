@@ -376,15 +376,13 @@ def test_swiss_roll_rotation_preserves_distances():
     assert np.allclose(pdist(out.points), pdist(rolled), rtol=1e-10)
 
 
-def test_swiss_roll_pad_dim_validation():
+def test_swiss_roll_target_dim_validation():
     from bmti.geometry import PointCloud
 
     cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 2)))
     with pytest.raises(ParameterError):
         swiss_roll_embed(cloud, EmbeddingSpec(target_dim=2))
-    with pytest.raises(ParameterError):
-        swiss_roll_embed(cloud, EmbeddingSpec(target_dim=20, pad_dim=5))
-    out = swiss_roll_embed(cloud, EmbeddingSpec(target_dim=20, pad_dim=17))
+    out = swiss_roll_embed(cloud, EmbeddingSpec(target_dim=20))
     assert out.points.shape == (10, 20)
 
 

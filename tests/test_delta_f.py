@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import graph_and_overlaps
+from conftest import adaptive_k, graph_and_overlaps
 from oracles import (
     delta_f_variance,
     directional_delta_f,
@@ -188,6 +188,31 @@ def test_edge_antisymmetry_over_mutual_pairs(rng):
             assert table[(j, i)] == -v
             mutual += 1
     assert mutual > 100
+
+
+@pytest.mark.parametrize("dim", [2, 6])
+def test_edge_model_symmetric_over_mutual_pairs(rng, dim):
+    # The two directions of a mutual pair read one pair's overlap sums, one
+    # of them reflected; their error models must agree. Far from the origin,
+    # so that a frame change would show its cancellation.
+    pts = rng.standard_normal((300, dim)) + np.resize([40.0, -25.0], dim)
+    cloud = PointCloud(points=pts)
+    graph, overlaps = graph_and_overlaps(
+        cloud, adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=30)
+    )
+    field = compute_gradient_field(graph, cloud, float(dim))
+    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    index = {ij: e for e, ij in enumerate(zip(edges.src.tolist(), edges.dst.tolist()))}
+    pairs = [(e, index[j, i]) for (i, j), e in index.items() if (j, i) in index]
+    assert 100 < len(pairs) < edges.n_edges
+    e, r = np.array(pairs).T
+    np.testing.assert_allclose(edges.eps2[r], edges.eps2[e], rtol=1e-12, atol=0)
+    # A correlation, of scale 1: relative to that where it is near 0.
+    np.testing.assert_allclose(
+        edges.pearson[r], edges.pearson[e], rtol=1e-12, atol=1e-12
+    )
+    np.testing.assert_allclose(edges.eps_dst[r], edges.eps_src[e], rtol=1e-12, atol=0)
+    assert np.array_equal(edges.delta_f[r], -edges.delta_f[e])
 
 
 def test_twin_square_edge_correlation_from_shared_points():

@@ -283,11 +283,18 @@ _KNN_CELLS = {"datasets": ["gauss2d"], "methods": ["knn"]}
         ("seeds", [1.7]),
         ("seeds", [0, True]),
         ("seeds", 3),
+        ("seeds", []),
+        ("seeds", 0),
+        ("seeds", None),
         ("sizes", [300.0]),
         ("sizes", [None, False]),
         ("sizes", "300"),
+        ("sizes", []),
+        ("sizes", 0),
         ("estimator_params", {"knn": 5}),
         ("estimator_params", {"knn": [("k", 5)]}),
+        ("estimator_params", []),
+        ("estimator_params", 0),
     ],
     ids=lambda v: repr(v),
 )

@@ -190,14 +190,22 @@ def graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
     return graphs
 
 
-def test_shared_moments_match_set_intersection(rng, monkeypatch):
+@pytest.mark.parametrize("dim", [2, 6])
+def test_shared_moments_match_set_intersection(rng, monkeypatch, dim):
     # Far from the origin, so the moments are not computed in coordinates
     # that happen to be centred already.
-    pts = rng.standard_normal((80, 2)) + np.array([40.0, -25.0])
+    pts = rng.standard_normal((80, dim)) + np.resize([40.0, -25.0], dim)
     cloud = PointCloud(points=pts)
-    k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
+    k = adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=20)
     for graph, overlaps in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
         sets = [set(neighbors(graph, i).tolist()) | {i} for i in range(80)]
+        # Edges from the higher index read their pair's moments reflected;
+        # both kinds of such edge occur, mutual and one-way.
+        mutual = np.array(
+            [int(i) in sets[int(j)] for i, j in zip(graph.edge_src, graph.edge_dst)]
+        )
+        high = graph.edge_src > graph.edge_dst
+        assert np.any(high & mutual) and np.any(high & ~mutual)
         for e in range(graph.n_edges):
             i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
             shared = sorted((sets[i] & sets[j]) - {i, j})

@@ -322,10 +322,11 @@ def test_config_is_frozen():
 
 
 def test_benchmark_reads_every_layer_count_of_a_result(monkeypatch):
-    # perfbench reads these counts off the result of a traced run; one whose
-    # source is gone is left out, and the run still exits 0, so a rename or
-    # a deleted attribute would go unnoticed there. The harness is loaded by
-    # path, under a name of its own, as it ships.
+    # perfbench reads these counts off the result of a traced run, and the
+    # stage times off its spans; one whose source is gone is left out, and
+    # the run still exits 0, so a rename or a deleted attribute would go
+    # unnoticed there. The harness is loaded by path, under a name of its
+    # own, as it ships.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "bench.py"
     spec = importlib.util.spec_from_file_location("bmti_perfbench_bench", path)
     bench = importlib.util.module_from_spec(spec)
@@ -333,7 +334,32 @@ def test_benchmark_reads_every_layer_count_of_a_result(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, bench)
     spec.loader.exec_module(bench)
     cfg = BmtiConfig()
-    result = run_bmti(generate_dataset("mb2d", n=400, seed=0), cfg)
+    cloud = generate_dataset("mb2d", n=400, seed=0)
+    result = run_bmti(cloud, cfg)
+
+    # Every stage runs under the name the harness wraps, so each records
+    # its span, and tracing leaves F as it is.
+    tracer = bench.Tracer()
+    traced = bench.run_traced(cloud, cfg, tracer)
+    assert np.array_equal(traced.F, result.F)
+    spans = {s.name for s in tracer.spans if s.call == tracer.call}
+    assert set(bench.STAGE_SPANS.values()) <= spans
+    times = bench.stage_times(tracer, tracer.call, 1.0)
+    time_metrics = [
+        "geometry.knn.s",
+        "intrinsic_dim.twonn.s",
+        "neighborhoods.adaptive_k.s",
+        "neighborhoods.adaptive_k.self_s",
+        "neighborhoods.graph.s",
+        "neighborhoods.graph.self_s",
+        "gradients.s",
+        "delta_f.edges.s",
+        "solver.assemble.s",
+        "solver.solve.s",
+    ]
+    assert set(time_metrics) <= set(times)
+    assert all(math.isfinite(times[name]) for name in time_metrics)
+
     counts = bench.result_counts(result, cfg)
     assert sorted(counts) == sorted(
         [
