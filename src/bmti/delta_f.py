@@ -4,15 +4,17 @@ Every directed edge (i, j) gets a midpoint-rule estimate of F_j - F_i from the
 two endpoint gradients, plus an error bar that accounts for the correlation
 between the two endpoint estimates. That correlation comes from the points
 the two neighbourhoods share: it is the correlation of the two mean shifts
-projected on the edge, read from the shared-point moments of the edges'
-overlaps (neighborhoods.EdgeOverlaps: intersections of the graph's own rows,
-summed once per unordered pair). It is positive for nearly coincident
-neighbourhoods and turns negative when the shared lens is thin, since a
-point in the lens pulls each mean toward the other end. Only the
-difference, its variance and the correlation span every edge; the two
-directional spreads are computed again when read (DeltaFEdgeSet.eps_src,
-eps_dst). pull_statistics summarizes standardized residuals against a
-truth; calibration_report applies it to the edges.
+projected on the edge, from the moments of the shared points (the
+intersection of the graph's rows i and j). It is positive for nearly
+coincident neighbourhoods and turns negative when the shared lens is thin,
+since a point in the lens pulls each mean toward the other end. One kernel
+intersects the rows and evaluates the error model once per unordered pair
+of points; the edge in the other direction takes the same error model and
+the opposite difference. Only the difference, its variance and the
+correlation span every edge; the two directional spreads are computed
+again when read (DeltaFEdgeSet.eps_src, eps_dst). pull_statistics
+summarizes standardized residuals against a truth; calibration_report
+applies it to the edges.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import kstest
 
 from . import geometry
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
 from .gradients import GradientField
-from .neighborhoods import EdgeOverlaps, NeighborGraph
+from .neighborhoods import NeighborGraph
 
 EPS2_MIN = 1e-12
 
@@ -78,10 +81,11 @@ class DeltaFEdgeSet:
         return self._spread(self.dst)
 
     def _spread(self, ends: np.ndarray) -> np.ndarray:
-        """sqrt(r^T var_g[w] r) per edge, w = ends, in the kernel's batches."""
+        """sqrt(r^T var_g[w] r) per edge, w = ends, in batches of edges."""
         n_e, pts = self.n_edges, self.points
         out = np.empty(n_e)
-        batch = _edge_batch(pts.shape[1])
+        # The gathers of a batch are D x D per edge.
+        batch = max(1, geometry._BATCH_ENTRIES // pts.shape[1] ** 2)
 
         def spread_batch(s: int) -> None:
             e = min(s + batch, n_e)
@@ -104,19 +108,18 @@ class PullStats:
     n: int
 
 
-def _edge_batch(dim: int) -> int:
-    """Edges per batch of the edge kernel, whose gathers are D x D per edge."""
-    return max(1, geometry._BATCH_ENTRIES // (dim * dim))
-
-
 def _qform(r: np.ndarray, var_g: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """r^T var_g[w] r for each edge vector r and endpoint w in ends."""
-    return np.einsum("ec,ecd,ed->e", r, var_g[ends], r)
+    """r^T var_g[w] r for each edge vector r and endpoint w in ends.
+
+    Two two-operand contractions, whose results do not depend on how many
+    edges one call holds (the three-operand einsum takes another path for a
+    single edge).
+    """
+    return np.einsum("ec,ec->e", np.einsum("ecd,ed->ec", var_g[ends], r), r)
 
 
 def build_delta_f_edges(
     graph: NeighborGraph,
-    overlaps: EdgeOverlaps,
     gradients: GradientField,
     cloud: PointCloud,
     eps2_min: float = EPS2_MIN,
@@ -129,10 +132,9 @@ def build_delta_f_edges(
 
         eps2 = (eps_i^2 + eps_j^2 + 2 p eps_i eps_j) / 4,
 
-    floored at eps2_min. The correlation reads the shared-point counts and
-    moments of the overlaps (build_neighbor_graph's second value): with
-    a = (x - x_i) . r over the shared points S,
-    mu = m_hat . r and s2 = |r|^2,
+    floored at eps2_min. The correlation comes from the points S that Omega_i
+    and Omega_j share besides i and j: the intersection of the graph's rows
+    i and j. With a = (x - x_i) . r over S, mu = m_hat . r and s2 = |r|^2,
 
         sum_S (a - mu_i)(a - s2 - mu_j)
             = sum a^2 - (s2 + mu_i + mu_j) sum a + |S| mu_i (s2 + mu_j),
@@ -140,66 +142,132 @@ def build_delta_f_edges(
     which over (k_i-1)(k_j-1) is r^T cov[m_i, m_j] r. The gradient scales
     turn it into the covariance of the two directional estimates.
 
-    One kernel computes all of it batch by batch, so only delta_f, eps2 and
-    pearson span every edge; the directional spreads eps_i and eps_j stay
-    in the batch, and the edge set computes them again when they are read.
-    Quadratic forms negative by roundoff are clamped to 0; a form below
-    -_QFORM_RTOL times the largest |form| (at least 1) of its endpoint side
-    raises DataError once every batch has run.
+    One kernel computes all of it once per unordered pair of points, batch
+    by batch, so only delta_f, eps2 and pearson span every edge; the
+    directional spreads eps_i and eps_j stay in the batch, and the edge set
+    computes them again when they are read. A pair is computed for its
+    first edge in a stable sort of the pair codes: the edge from the lower
+    index when both directions are edges, else the pair's one edge, each in
+    its own frame. The edge in the other direction, r' = -r with the ends
+    swapped, gets -delta_f and the same eps2 and pearson. A graph whose row
+    lists one neighbour twice raises ParameterError. Quadratic forms
+    negative by roundoff are clamped to 0; a form below -_QFORM_RTOL times
+    the largest |form| (at least 1) raises DataError once every batch has
+    run.
     """
     if eps2_min <= 0.0:
         raise ParameterError("eps2_min must be positive")
     src, dst = graph.edge_src, graph.edge_dst
-    n_e = src.shape[0]
+    n, n_e = graph.n_points, src.shape[0]
     pts = cloud.points
     g, var_g, shift = gradients.g, gradients.var_g, gradients.mean_shift
     k, scale = graph.k, gradients.scale
-    shared, moments = overlaps.shared, overlaps.moments
+    dim = pts.shape[1]
+
+    # Rows run in point order, so a stable sort of the pair codes lo n + hi
+    # puts the edge from lo of a mutual pair first (its representative) and
+    # the edge from hi second (its twin); a one-way pair's one edge is its
+    # representative. A longer run, or a pair's two edges from one source,
+    # is a row listing a neighbour twice.
+    codes = np.minimum(src, dst) * n + np.maximum(src, dst)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    head = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))
+    del codes
+    run = np.diff(head, append=n_e)
+    mutual = run == 2
+    rep = order[head]
+    twin = np.full(rep.shape[0], -1, dtype=np.int64)
+    twin[mutual] = order[head[mutual] + 1]
+    del order, head
+    if np.any(run > 2) or np.any(src[twin[mutual]] == src[rep[mutual]]):
+        raise ParameterError("a row of the graph lists one neighbour twice")
+
+    # The graph's rows as an int8 matrix, so that the row intersections move
+    # less data: row i is Omega_i without i, so rows i and j intersect in
+    # exactly the points shared besides i and j. Its indices are a copy that
+    # sum_duplicates sorts (edge_dst keeps neighbour order), canonical before
+    # the batches read it from several threads.
+    indptr = np.concatenate([[0], np.cumsum(k - 1)])
+    member = sp.csr_matrix(
+        (np.ones(n_e, dtype=np.int8), dst.copy(), indptr), shape=(n, n)
+    )
+    member.sum_duplicates()
+    # Coordinates centred on the cloud mean and their pairwise products:
+    # summed over S and projected on r, they give the moments of a.
+    centred = pts - pts.mean(axis=0)
+    tri_a, tri_b = np.triu_indices(dim)
+    features = np.concatenate(
+        [centred, centred[:, tri_a] * centred[:, tri_b]], axis=1
+    )
 
     delta_f = np.empty(n_e)
     eps2 = np.empty(n_e)
     pearson = np.empty(n_e)
 
-    batch = _edge_batch(cloud.embed_dim)
-    # Per batch and endpoint, the least quadratic form and the largest |form|.
-    qform_range = np.empty((len(range(0, n_e, batch)), 2, 2))
+    n_pairs = rep.shape[0]
+    # A batch gathers a row of the membership matrix, a row of features and
+    # a D x D covariance per pair.
+    per_pair = max(int(k.max()), features.shape[1], dim * dim)
+    batch = max(1, geometry._BATCH_ENTRIES // per_pair)
+    # Per batch, the least quadratic form and the largest |form|.
+    qform_range = np.empty((len(range(0, n_pairs, batch)), 2))
 
-    def edge_batch(s: int) -> None:
-        e = min(s + batch, n_e)
-        i_b, j_b = src[s:e], dst[s:e]
+    def pair_batch(s: int) -> None:
+        e = min(s + batch, n_pairs)
+        edge = rep[s:e]
+        i_b, j_b = src[edge], dst[edge]
         r = pts[j_b] - pts[i_b]
         ds = np.einsum("ed,ed->e", g[i_b], r)
         dd = np.einsum("ed,ed->e", g[j_b], r)
-        delta_f[s:e] = 0.5 * (ds + dd)
+        diff = 0.5 * (ds + dd)
         q_src = _qform(r, var_g, i_b)
         q_dst = _qform(r, var_g, j_b)
-        for side, q in enumerate((q_src, q_dst)):
-            qform_range[s // batch, side] = q.min(), np.abs(q).max()
-            # Roundoff negatives; larger ones raise after the batches.
-            q[q < 0.0] = 0.0
+        qform_range[s // batch] = (
+            min(q_src.min(), q_dst.min()),
+            max(np.abs(q_src).max(), np.abs(q_dst).max()),
+        )
+        # Roundoff negatives; larger ones raise after the batches.
+        q_src[q_src < 0.0] = 0.0
+        q_dst[q_dst < 0.0] = 0.0
         e_src = np.sqrt(q_src)
         e_dst = np.sqrt(q_dst)
+
+        shared = sp.csr_matrix(member[i_b].multiply(member[j_b]))
+        count = np.diff(shared.indptr)
+        sums = shared @ features
+        p_r = np.einsum("ed,ed->e", sums[:, :dim], r)
+        q_rr = np.zeros(e - s)
+        for t, (a, b) in enumerate(zip(tri_a, tri_b)):
+            q_rr += (1.0 if a == b else 2.0) * sums[:, dim + t] * r[:, a] * r[:, b]
+        b_r = np.einsum("ed,ed->e", centred[i_b], r)
+        m1 = p_r - count * b_r
+        m2 = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
 
         r2 = np.einsum("ed,ed->e", r, r)
         mu_src = np.einsum("ed,ed->e", shift[i_b], r)
         mu_dst = np.einsum("ed,ed->e", shift[j_b], r)
-        m1, m2 = moments[s:e, 0], moments[s:e, 1]
-        lens = m2 - (r2 + mu_src + mu_dst) * m1 + shared[s:e] * mu_src * (r2 + mu_dst)
+        lens = m2 - (r2 + mu_src + mu_dst) * m1 + count * mu_src * (r2 + mu_dst)
         cov = scale[i_b] * scale[j_b] * lens / ((k[i_b] - 1) * (k[j_b] - 1))
-        p = pearson[s:e]
-        p[:] = 0.0
+        p = np.zeros(e - s)
         spread = (e_src > 0.0) & (e_dst > 0.0)
         p[spread] = np.clip(cov[spread] / (e_src[spread] * e_dst[spread]), -1.0, 1.0)
-        out = eps2[s:e]
-        np.multiply(0.25, q_src + q_dst + 2.0 * p * e_src * e_dst, out=out)
-        np.maximum(out, eps2_min, out=out)
+        var = 0.25 * (q_src + q_dst + 2.0 * p * e_src * e_dst)
+        np.maximum(var, eps2_min, out=var)
 
-    geometry._run_batches(edge_batch, n_e, batch)
+        # Each edge is one pair's representative or twin, so the batches
+        # write disjoint entries.
+        delta_f[edge], eps2[edge], pearson[edge] = diff, var, p
+        mirrored = twin[s:e] >= 0
+        back = twin[s:e][mirrored]
+        delta_f[back] = -diff[mirrored]
+        eps2[back], pearson[back] = var[mirrored], p[mirrored]
 
-    for side in (0, 1):
-        worst = qform_range[:, side, 0].min(initial=0.0)
-        if worst < -_QFORM_RTOL * qform_range[:, side, 1].max(initial=1.0):
-            raise DataError("non-PSD gradient covariance along an edge")
+    geometry._run_batches(pair_batch, n_pairs, batch)
+
+    worst = qform_range[:, 0].min(initial=0.0)
+    if worst < -_QFORM_RTOL * qform_range[:, 1].max(initial=1.0):
+        raise DataError("non-PSD gradient covariance along an edge")
 
     return DeltaFEdgeSet(
         src=src,

@@ -13,9 +13,9 @@ rows its test is about to read past, keeping their new columns in a ragged
 store (see `neighborhoods.select_adaptive_k`). `knn_query` answers for one
 point and serves as the per-point reference.
 
-The k-d tree query runs on every CPU. The per-batch kernels of the graph,
-gradient and edge stages do too, through `_run_batches`: one thread per CPU
-in the process's affinity mask, each batch writing its own slice of output
+The k-d tree query runs on every CPU. The per-batch kernels of the gradient
+and edge stages do too, through `_run_batches`: one thread per CPU in the
+process's affinity mask, each batch writing its own entries of output
 arrays allocated beforehand, so results do not depend on the thread count.
 """
 
@@ -45,7 +45,7 @@ _TIE_SLACK = 1e-9
 # query.
 _CHUNK_ENTRIES = 1 << 21
 
-# Array entries one batch of a stage kernel (overlap, gradient, edge) may
+# Array entries one batch of a stage kernel (gradient, edge pair, spread) may
 # span; small enough that a batch's temporaries stay in cache.
 _BATCH_ENTRIES = 1 << 19
 
@@ -256,8 +256,8 @@ def knn_query_all(
 def _run_batches(fn, total: int, batch: int) -> None:
     """Call fn(start) for start in range(0, total, batch) on _WORKERS threads.
 
-    Each call must write only its own slice of preallocated outputs and read
-    shared inputs without mutating them. Runs inline when there is one CPU or
+    Each call must write only its own entries of preallocated outputs and
+    read shared inputs without mutating them. Runs inline when there is one CPU or
     one batch. An exception raised by a batch is re-raised here.
     """
     starts = range(0, total, batch)

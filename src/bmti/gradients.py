@@ -13,8 +13,8 @@ space; no tangent projection is applied.
 Errors: the mean shift has the covariance of the shifts over k-1, and the
 gradient that covariance times ((d+2)/r^2)^2. Mean shifts of overlapping
 neighbourhoods are correlated through their shared points; the edge error
-model (delta_f) reads that correlation from the shared-point moments of the
-graph's edges (neighborhoods.EdgeOverlaps).
+model (delta_f.build_delta_f_edges) takes that correlation from the points
+the graph's rows share.
 """
 
 from __future__ import annotations

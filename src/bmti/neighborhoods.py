@@ -3,26 +3,18 @@
 Each point i gets a neighbourhood Omega_i consisting of the point itself plus
 its k[i]-1 nearest neighbours; k[i] grows from k_min until a likelihood-ratio
 test says the local density stops being constant. The graph is one CSR
-edge list (edge_src, edge_dst, rows in point order). Next to it,
-build_neighbor_graph returns the edges' overlaps (EdgeOverlaps): per directed
-edge, the number of points Omega_i and Omega_j share besides i and j and the
-first two moments of those points' projections on the edge, from which the
-error model downstream correlates the two endpoint estimates. Only the edge
-kernel (delta_f.build_delta_f_edges) reads them, so they are a separate
-value that the run frees after that stage. The overlaps are the
-intersections of the graph's own rows (row i lists Omega_i without i),
-taken by scipy once per unordered pair and in one frame per pair, in
-batches spread over the CPUs (geometry._run_batches); the edge in the other
-direction reads the same sums reflected. select_adaptive_k reads the run's
-kNN table (geometry.knn_query_all), which may start narrower than the
-adaptive-k cap and is ragged past the start: a row is queried again, its
-new columns appended to one flat store, only when the test is about to
-read past the row's width. A row still growing at the start width goes to
-the cap; the row of a newest neighbour that stopped growing goes to twice
-the start width, and to the cap only if read past that. No dense
-(n, cap - 1) table is made: the graph gets its rows as one CSR edge list
-with their radii. The graph's component labels come with the assembled
-system (solver.assemble_system).
+edge list (edge_src, edge_dst, rows in point order; row i lists Omega_i
+without i). The edge kernel (delta_f.build_delta_f_edges) intersects
+these rows for the points two neighbourhoods share. select_adaptive_k
+reads the run's kNN table (geometry.knn_query_all), which may start
+narrower than the adaptive-k cap and is ragged past the start: a row is
+queried again, its new columns appended to one flat store, only when the
+test is about to read past the row's width. A row still growing at the
+start width goes to the cap; the row of a newest neighbour that stopped
+growing goes to twice the start width, and to the cap only if read past
+that. No dense (n, cap - 1) table is made: the graph gets its rows as one
+CSR edge list with their radii. The graph's component labels come with the
+assembled system (solver.assemble_system).
 """
 
 from __future__ import annotations
@@ -30,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import geometry
 from .exceptions import DataError, ParameterError
@@ -70,26 +61,6 @@ class NeighborGraph:
     @property
     def n_edges(self) -> int:
         return self.edge_src.shape[0]
-
-
-@dataclass(frozen=True)
-class EdgeOverlaps:
-    """Shared points of the two neighbourhoods of every graph edge.
-
-    Aligned with the graph's edge arrays; the edge kernel's input only.
-
-    shared : ndarray, shape (E,)
-        Points shared by Omega_i and Omega_j other than i and j: the size of
-        the intersection of the graph's rows i and j.
-    moments : ndarray, shape (E, 2)
-        Sums over those shared points x of a and a^2, with
-        a = (x - x_i) . (x_j - x_i) for the edge i -> j; computed once per
-        unordered pair, from the lower index, and reflected (a -> |r|^2 - a)
-        for the edge from the higher one.
-    """
-
-    shared: np.ndarray
-    moments: np.ndarray
 
 
 def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -247,15 +218,13 @@ def select_adaptive_k(
 
 def build_neighbor_graph(
     cloud: PointCloud, k: np.ndarray, edge_dst: np.ndarray, radii: np.ndarray
-) -> tuple[NeighborGraph, EdgeOverlaps]:
-    """The graph of given neighbour lists, and the shared-point counts and
-    moments of every edge.
+) -> NeighborGraph:
+    """The graph of given neighbour lists.
 
     edge_dst is the CSR edge list of select_adaptive_k: row i, starting at
     sum(k[:i] - 1), lists the k[i] - 1 nearest neighbours of i, nearest
-    first. radii[i] is the distance from i to the last of them. The graph
-    holds edge_dst and radii themselves. Returns (graph, overlaps); the
-    overlaps are read by build_delta_f_edges only.
+    first, and not i itself. radii[i] is the distance from i to the last of
+    them. The graph holds edge_dst and radii themselves.
     """
     n = cloud.n_points
     k = np.asarray(k, dtype=np.int64)
@@ -276,69 +245,9 @@ def build_neighbor_graph(
         raise ParameterError(f"edge_dst must hold point indices in [0, {n})")
     if np.any(radii == 0.0):
         raise DataError("zero neighbourhood radius: duplicate points")
-    kmax = int(k.max())
     edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
-
-    # The graph's rows as an int8 matrix, so that the row intersections move
-    # less data: row i is Omega_i without i, so rows i and j intersect in
-    # exactly the points shared besides i and j. Its indices are a copy that
-    # sum_duplicates sorts (edge_dst keeps neighbour order), canonical before
-    # the batches read it from several threads.
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    member = sp.csr_matrix(
-        (np.ones(edge_dst.shape[0], dtype=np.int8), edge_dst.copy(), indptr),
-        shape=(n, n),
-    )
-    member.sum_duplicates()
-
-    # Overlap sums once per unordered pair (lo, hi), then scattered onto
-    # edges: the count, and sums of x and x x^T over the intersection, in
-    # coordinates centred on the cloud mean. Projected on r = x_hi - x_lo,
-    # they give the moments of a = (x - x_lo) . r.
-    codes = np.minimum(edge_src, edge_dst) * n + np.maximum(edge_src, edge_dst)
-    ucodes, inverse = np.unique(codes, return_inverse=True)
-    del codes
-    ulo = ucodes // n
-    uhi = ucodes % n
-    pts = cloud.points - cloud.points.mean(axis=0)
-    dim = pts.shape[1]
-    tri_a, tri_b = np.triu_indices(dim)
-    features = np.concatenate([pts, pts[:, tri_a] * pts[:, tri_b]], axis=1)
-    n_pairs = ucodes.shape[0]
-    ucount = np.empty(n_pairs, dtype=np.int64)
-    ur2 = np.empty(n_pairs)
-    moments = np.empty((n_pairs, 2))  # sum a, sum a^2
-    batch = max(1, geometry._BATCH_ENTRIES // max(kmax, features.shape[1]))
-
-    def overlap_batch(s: int) -> None:
-        e = min(s + batch, n_pairs)
-        shared = sp.csr_matrix(member[ulo[s:e]].multiply(member[uhi[s:e]]))
-        count = np.diff(shared.indptr)
-        ucount[s:e] = count
-        sums = shared @ features
-        r = pts[uhi[s:e]] - pts[ulo[s:e]]
-        ur2[s:e] = np.einsum("ed,ed->e", r, r)
-        p_r = np.einsum("ed,ed->e", sums[:, :dim], r)
-        q_rr = np.zeros(e - s)
-        for t, (a, b) in enumerate(zip(tri_a, tri_b)):
-            q_rr += (1.0 if a == b else 2.0) * sums[:, dim + t] * r[:, a] * r[:, b]
-        b_r = np.einsum("ed,ed->e", pts[ulo[s:e]], r)
-        moments[s:e, 0] = p_r - count * b_r
-        moments[s:e, 1] = q_rr - 2.0 * b_r * p_r + count * b_r * b_r
-
-    geometry._run_batches(overlap_batch, n_pairs, batch)
-    del member, features, ulo, uhi, ucodes
-
-    # An edge from hi sees a' = (x - x_hi) . (-r) = |r|^2 - a.
-    edge_shared = ucount[inverse]
-    edge_shared_moments = moments[inverse]
-    flip = edge_src > edge_dst
-    c, r2 = edge_shared[flip], ur2[inverse[flip]]
-    m1, m2 = edge_shared_moments[flip].T
-    edge_shared_moments[flip, 0] = c * r2 - m1
-    edge_shared_moments[flip, 1] = m2 - 2.0 * r2 * m1 + c * r2 * r2
-
-    graph = NeighborGraph(
+    if np.any(edge_src == edge_dst):
+        raise ParameterError("a row of edge_dst lists its own point")
+    return NeighborGraph(
         k=k.copy(), radii=radii, edge_src=edge_src, edge_dst=edge_dst
     )
-    return graph, EdgeOverlaps(shared=edge_shared, moments=edge_shared_moments)

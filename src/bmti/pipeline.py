@@ -7,10 +7,9 @@ and adaptive k queries again, into a ragged store, only the rows its test
 reads past that width (the ones still growing at the cap, the newest
 neighbours at twice the start width first). Adaptive k hands the graph its
 rows as one CSR edge list, and the start table is freed before the graph
-is built. The graph stage returns the edges' overlaps next to the graph;
-the edge kernel is their only reader, and the run frees them before the
-assembly, where its memory peaks. The Laplacian system is assembled once
-and solved once, by solve_bmti at any alpha. BmtiConfig checks every field
+is built. The edge kernel intersects the graph's rows itself, once per
+unordered pair of points. The Laplacian system is assembled once and
+solved once, by solve_bmti at any alpha. BmtiConfig checks every field
 when it is made, so a bad setting fails before any stage runs.
 """
 
@@ -128,8 +127,8 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     Stages: one kNN table at a start width, TwoNN intrinsic dimension
     (unless fixed), adaptive neighbourhood sizes (querying again the rows of
     the table they read further) and the graph's CSR edge list, directed
-    graph with the edges' overlaps, mean-shift gradients with covariances,
-    per-edge difference estimates (the last reader of the overlaps), the
+    graph, mean-shift gradients with covariances, per-edge difference
+    estimates with their error model (once per unordered pair), the
     Laplacian assembly, and one global solve (pure at alpha = 1,
     anchor-blended otherwise).
     """
@@ -147,16 +146,12 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
         cloud, idx, dist, d,
         lr_threshold=cfg.lr_threshold, k_min=cfg.k_min, k_max=cfg.k_max,
     )
-    # The start table is freed before the graph stage, whose peak it would
-    # add to.
+    # The start table is freed before the later stages, whose peaks it
+    # would add to.
     del idx, dist
-    graph, overlaps = build_neighbor_graph(cloud, k, edge_dst, radii)
+    graph = build_neighbor_graph(cloud, k, edge_dst, radii)
     gradients = compute_gradient_field(graph, cloud, d)
-    edges = build_delta_f_edges(
-        graph, overlaps, gradients, cloud, eps2_min=cfg.eps2_min
-    )
-    # Read by the edge kernel only; freed before the assembly's peak.
-    del overlaps
+    edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
 
     system = assemble_system(edges)
     estimate = solve_bmti(

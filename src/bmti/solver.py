@@ -47,7 +47,6 @@ class SolverSystem:
 
     A: sp.csr_matrix
     b: np.ndarray
-    n_edges: int
     component_labels: np.ndarray
 
     @property
@@ -103,7 +102,7 @@ def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
     off = W + W.T
     del W
     A = sp.diags(deg, format="csr") - off
-    return SolverSystem(A=A, b=b, n_edges=edges.n_edges, component_labels=labels)
+    return SolverSystem(A=A, b=b, component_labels=labels)
 
 
 def _center_per_component(x: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:

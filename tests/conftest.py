@@ -68,14 +68,10 @@ def table_rows(k, idx, dist):
     return edge_dst, dist[np.arange(counts.shape[0]), counts - 1]
 
 
-def graph_and_overlaps(cloud: PointCloud, k):
-    """build_neighbor_graph's (graph, overlaps) for sizes k."""
+def neighbor_graph(cloud: PointCloud, k):
+    """build_neighbor_graph's graph for sizes k."""
     table = knn_query_all(cloud, int(np.max(k)) - 1)
     return build_neighbor_graph(cloud, k, *table_rows(k, *table))
-
-
-def neighbor_graph(cloud: PointCloud, k):
-    return graph_and_overlaps(cloud, k)[0]
 
 
 def edge_set(src, dst, delta_f, eps2, n: int) -> DeltaFEdgeSet:

@@ -15,7 +15,6 @@ from scipy.stats import kstest
 from conftest import (
     adaptive_k,
     edge_set,
-    graph_and_overlaps,
     neighbor_graph,
     record_criterion,
     twonn,
@@ -442,10 +441,10 @@ def healing_cells():
         cloud = _two_gaussian_cloud(5000, seed)
         d = twonn(cloud).d
         k = adaptive_k(cloud, d)
-        graph, overlaps = graph_and_overlaps(cloud, k)
+        graph = neighbor_graph(cloud, k)
         gradients = compute_gradient_field(graph, cloud, d)
         system = assemble_system(
-            build_delta_f_edges(graph, overlaps, gradients, cloud)
+            build_delta_f_edges(graph, gradients, cloud)
         )
         anchor = knn_anchor(graph, cloud, d)
         with warnings.catch_warnings():
@@ -565,9 +564,9 @@ def test_criterion_7_invariance_suite():
         pts = rng.normal(size=(n, 2))
         cloud = PointCloud(points=pts)
         k = np.full(n, int(rng.integers(6, 11)))
-        graph, overlaps = graph_and_overlaps(cloud, k)
+        graph = neighbor_graph(cloud, k)
         field = compute_gradient_field(graph, cloud, 2.0)
-        edges = build_delta_f_edges(graph, overlaps, field, cloud)
+        edges = build_delta_f_edges(graph, field, cloud)
         index = {
             (int(s), int(d)): a
             for a, (s, d) in enumerate(zip(edges.src, edges.dst))

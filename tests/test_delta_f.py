@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import adaptive_k, graph_and_overlaps
+from conftest import adaptive_k, neighbor_graph
 from oracles import (
     delta_f_variance,
     directional_delta_f,
@@ -19,6 +19,7 @@ from bmti.delta_f import EPS2_MIN, build_delta_f_edges, calibration_report
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import GradientField, compute_gradient_field
+from bmti.neighborhoods import build_neighbor_graph
 
 
 def constant_field(n: int, g: np.ndarray, var: np.ndarray) -> GradientField:
@@ -30,9 +31,9 @@ def constant_field(n: int, g: np.ndarray, var: np.ndarray) -> GradientField:
 def pipeline_stages(rng, n=150, dim=2, k=10):
     pts = rng.standard_normal((n, dim))
     cloud = PointCloud(points=pts)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(n, k))
+    graph = neighbor_graph(cloud, np.full(n, k))
     field = compute_gradient_field(graph, cloud, float(dim))
-    return cloud, graph, overlaps, field
+    return cloud, graph, field
 
 
 def test_constant_gradient_linear_landscape(rng):
@@ -47,7 +48,7 @@ def test_constant_gradient_linear_landscape(rng):
 
 
 def test_antisymmetry_exact(rng):
-    cloud, _, _, field = pipeline_stages(rng)
+    cloud, _, field = pipeline_stages(rng)
     for i, j in [(0, 1), (10, 99), (42, 7)]:
         assert estimate_delta_f(field, cloud, i, j) == -estimate_delta_f(
             field, cloud, j, i
@@ -110,12 +111,12 @@ def test_variance_ignores_estimate_signs(rng):
     # The error correlation comes from the shared points, not from the signs
     # of the two directional estimates: flipping every estimate leaves the
     # error bars alone.
-    cloud, graph, overlaps, field = pipeline_stages(rng, n=80, k=8)
+    cloud, graph, field = pipeline_stages(rng, n=80, k=8)
     flipped = GradientField(
         g=-field.g, var_g=field.var_g, mean_shift=field.mean_shift, scale=field.scale
     )
-    a = build_delta_f_edges(graph, overlaps, field, cloud)
-    b = build_delta_f_edges(graph, overlaps, flipped, cloud)
+    a = build_delta_f_edges(graph, field, cloud)
+    b = build_delta_f_edges(graph, flipped, cloud)
     np.testing.assert_array_equal(b.delta_f, -a.delta_f)
     np.testing.assert_array_equal(b.pearson, a.pearson)
     np.testing.assert_array_equal(b.eps2, a.eps2)
@@ -132,13 +133,13 @@ def test_variance_guards():
         delta_f_variance(-0.5, 0.5, 0.5)
 
 
-def edges_in_default_and_tiny_batches(graph, overlaps, field, cloud, monkeypatch):
+def edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
     """The edge set at the default batch budget, then in batches of a few
     edges on four threads, so that batch boundaries fall inside the graph;
     the directional spreads of each are read at the budget it was built at."""
 
     def built():
-        edges = build_delta_f_edges(graph, overlaps, field, cloud)
+        edges = build_delta_f_edges(graph, field, cloud)
         edges.eps_src, edges.eps_dst  # computed on first read
         return edges
 
@@ -151,12 +152,13 @@ def edges_in_default_and_tiny_batches(graph, overlaps, field, cloud, monkeypatch
 
 
 def test_edge_set_matches_scalar_operations(rng, monkeypatch):
-    cloud, graph, overlaps, field = pipeline_stages(rng, n=120, k=9)
-    default, edges = edges_in_default_and_tiny_batches(
-        graph, overlaps, field, cloud, monkeypatch
+    cloud, graph, field = pipeline_stages(rng, n=120, k=9)
+    default, *others = edges_in_default_and_tiny_batches(
+        graph, field, cloud, monkeypatch
     )
-    for name in ("delta_f", "eps2", "eps_src", "eps_dst", "pearson"):
-        assert np.array_equal(getattr(edges, name), getattr(default, name))
+    for edges in others:
+        for name in ("delta_f", "eps2", "eps_src", "eps_dst", "pearson"):
+            assert np.array_equal(getattr(edges, name), getattr(default, name))
     assert edges.n_edges == graph.n_edges
     # The spreads are read off the gradient field and the cloud, not copies.
     assert edges.var_g is field.var_g and edges.points is cloud.points
@@ -177,8 +179,8 @@ def test_edge_set_matches_scalar_operations(rng, monkeypatch):
 
 
 def test_edge_antisymmetry_over_mutual_pairs(rng):
-    cloud, graph, overlaps, field = pipeline_stages(rng, n=100, k=12)
-    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    cloud, graph, field = pipeline_stages(rng, n=100, k=12)
+    edges = build_delta_f_edges(graph, field, cloud)
     table = {}
     for e in range(edges.n_edges):
         table[(int(edges.src[e]), int(edges.dst[e]))] = edges.delta_f[e]
@@ -191,17 +193,75 @@ def test_edge_antisymmetry_over_mutual_pairs(rng):
 
 
 @pytest.mark.parametrize("dim", [2, 6])
+def test_edge_model_matches_shared_set_oracle(rng, monkeypatch, dim):
+    # Every edge's error model against the oracle's explicit shared sets, at
+    # every batch budget. Far from the origin, so the moments are not
+    # computed in coordinates that happen to be centred already.
+    pts = rng.standard_normal((80, dim)) + np.resize([40.0, -25.0], dim)
+    cloud = PointCloud(points=pts)
+    graph = neighbor_graph(
+        cloud, adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=20)
+    )
+    field = compute_gradient_field(graph, cloud, float(dim))
+    src, dst = graph.edge_src.tolist(), graph.edge_dst.tolist()
+    # A pair is computed in the frame of its first edge: twins, and one-way
+    # edges from the lower and from the higher index, all occur.
+    listed = set(zip(src, dst))
+    mutual = np.array([(j, i) in listed for i, j in zip(src, dst)])
+    high = graph.edge_src > graph.edge_dst
+    assert np.any(mutual) and np.any(~mutual & ~high) and np.any(~mutual & high)
+    want_p = np.array(
+        [edge_correlation(graph, field, cloud, i, j) for i, j in zip(src, dst)]
+    )
+    want_eps2 = np.array(
+        [
+            delta_f_variance(
+                directional_delta_f(field, cloud, i, j, i)[1],
+                directional_delta_f(field, cloud, i, j, j)[1],
+                p,
+            )
+            for i, j, p in zip(src, dst, want_p)
+        ]
+    )
+    for edges in edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
+        np.testing.assert_allclose(edges.pearson, want_p, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(edges.eps2, want_eps2, rtol=1e-9, atol=0)
+
+
+def test_edge_builder_rejects_a_row_listing_a_neighbour_twice(rng):
+    # Row i lists j again in place of its last neighbour: two edges i -> j,
+    # and with j -> i a third edge of the pair.
+    cloud = PointCloud(points=rng.standard_normal((20, 2)))
+    k = np.full(20, 5)
+    base = neighbor_graph(cloud, k)
+    rows = base.edge_dst.reshape(20, 4)
+    listed = {(i, j) for i, row in enumerate(rows.tolist()) for j in row}
+    cases = {}
+    for i, row in enumerate(rows.tolist()):
+        for j in row[:-1]:
+            cases.setdefault((j, i) in listed, (i, j))
+    assert set(cases) == {False, True}
+    for i, j in cases.values():
+        edge_dst = rows.copy()
+        edge_dst[i, -1] = j
+        graph = build_neighbor_graph(cloud, k, edge_dst.ravel(), base.radii)
+        field = compute_gradient_field(graph, cloud, 2.0)
+        with pytest.raises(ParameterError):
+            build_delta_f_edges(graph, field, cloud)
+
+
+@pytest.mark.parametrize("dim", [2, 6])
 def test_edge_model_symmetric_over_mutual_pairs(rng, dim):
-    # The two directions of a mutual pair read one pair's overlap sums, one
-    # of them reflected; their error models must agree. Far from the origin,
-    # so that a frame change would show its cancellation.
+    # The two directions of a mutual pair share one error model, computed
+    # in the frame of one of them. Far from the origin, so that a frame
+    # change would show its cancellation.
     pts = rng.standard_normal((300, dim)) + np.resize([40.0, -25.0], dim)
     cloud = PointCloud(points=pts)
-    graph, overlaps = graph_and_overlaps(
+    graph = neighbor_graph(
         cloud, adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=30)
     )
     field = compute_gradient_field(graph, cloud, float(dim))
-    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    edges = build_delta_f_edges(graph, field, cloud)
     index = {ij: e for e, ij in enumerate(zip(edges.src.tolist(), edges.dst.tolist()))}
     pairs = [(e, index[j, i]) for (i, j), e in index.items() if (j, i) in index]
     assert 100 < len(pairs) < edges.n_edges
@@ -226,11 +286,11 @@ def test_twin_square_edge_correlation_from_shared_points():
         [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [50.0, 50.0]]
     )
     cloud = PointCloud(points=pts)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(5, 4))
+    graph = neighbor_graph(cloud, np.full(5, 4))
     field = compute_gradient_field(graph, cloud, 2.0)
     np.testing.assert_allclose(field.g[0], [-4.0 / 3.0, -4.0 / 3.0], rtol=1e-14)
     np.testing.assert_allclose(field.g[1], [4.0 / 3.0, -4.0 / 3.0], rtol=1e-14)
-    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    edges = build_delta_f_edges(graph, field, cloud)
     e = 0  # first listed edge is 0 -> 1
     assert (int(edges.src[e]), int(edges.dst[e])) == (0, 1)
     assert directional_delta_f(field, cloud, 0, 1, 0)[0] == pytest.approx(
@@ -250,9 +310,9 @@ def test_calibration_exact_estimates_give_zero_pulls(rng):
     pts = rng.standard_normal((50, 2))
     truth = rng.standard_normal(50)
     cloud = PointCloud(points=pts, truth_F=truth)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(50, 6))
+    graph = neighbor_graph(cloud, np.full(50, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    edges = build_delta_f_edges(graph, field, cloud)
     edges.delta_f = truth[edges.dst] - truth[edges.src]
     stats = calibration_report(edges, cloud)
     assert stats.mean == pytest.approx(0.0, abs=1e-9)
@@ -264,9 +324,9 @@ def test_calibration_normal_pulls_pass_ks(rng):
     pts = rng.standard_normal((200, 2))
     truth = rng.standard_normal(200)
     cloud = PointCloud(points=pts, truth_F=truth)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(200, 8))
+    graph = neighbor_graph(cloud, np.full(200, 8))
     field = compute_gradient_field(graph, cloud, 2.0)
-    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    edges = build_delta_f_edges(graph, field, cloud)
     z = rng.standard_normal(edges.n_edges)
     edges.delta_f = truth[edges.dst] - truth[edges.src] + np.sqrt(edges.eps2) * z
     stats = calibration_report(edges, cloud)
@@ -276,25 +336,25 @@ def test_calibration_normal_pulls_pass_ks(rng):
 
 
 def test_calibration_requires_truth(rng):
-    cloud, graph, overlaps, field = pipeline_stages(rng, n=40, k=5)
-    edges = build_delta_f_edges(graph, overlaps, field, cloud)
+    cloud, graph, field = pipeline_stages(rng, n=40, k=5)
+    edges = build_delta_f_edges(graph, field, cloud)
     with pytest.raises(ParameterError):
         calibration_report(edges, cloud)
 
 
 def test_edge_builder_rejects_bad_floor(rng):
-    cloud, graph, overlaps, field = pipeline_stages(rng, n=40, k=5)
+    cloud, graph, field = pipeline_stages(rng, n=40, k=5)
     with pytest.raises(ParameterError):
-        build_delta_f_edges(graph, overlaps, field, cloud, eps2_min=0.0)
+        build_delta_f_edges(graph, field, cloud, eps2_min=0.0)
 
 
 def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
-    cloud, graph, overlaps, field = pipeline_stages(rng, n=80, k=6)
+    cloud, graph, field = pipeline_stages(rng, n=80, k=6)
     # Forms negative by roundoff only are clamped to 0: no spread, no
     # correlation, eps2 at the floor.
     tiny = constant_field(80, [1.0, 0.0], -1e-12 * np.eye(2))
     for edges in edges_in_default_and_tiny_batches(
-        graph, overlaps, tiny, cloud, monkeypatch
+        graph, tiny, cloud, monkeypatch
     ):
         assert np.all(edges.eps_src == 0.0) and np.all(edges.eps_dst == 0.0)
         assert np.all(edges.pearson == 0.0) and np.all(edges.eps2 == EPS2_MIN)
@@ -306,9 +366,9 @@ def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
             g=field.g, var_g=var, mean_shift=field.mean_shift, scale=field.scale
         )
         with pytest.raises(DataError):
-            build_delta_f_edges(graph, overlaps, bad, cloud)
+            build_delta_f_edges(graph, bad, cloud)
         with monkeypatch.context() as patch:
             patch.setattr(geometry, "_BATCH_ENTRIES", 64)
             patch.setattr(geometry, "_WORKERS", 4)
             with pytest.raises(DataError):
-                build_delta_f_edges(graph, overlaps, bad, cloud)
+                build_delta_f_edges(graph, bad, cloud)

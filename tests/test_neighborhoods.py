@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import adaptive_k, graph_and_overlaps, neighbor_graph, table_rows
+from conftest import adaptive_k, neighbor_graph, table_rows
 from oracles import component_labels, jaccard_overlap, neighbors, overlap_count
 
 from bmti import geometry
@@ -178,61 +178,18 @@ def test_graph_structure_line_points():
     assert jaccard_overlap(graph, 0, 3) == 0.0
 
 
-def graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
-    """The graph and its overlaps at the default batch budget, then in
-    batches of a few pairs on four threads, so that every batch boundary
-    meets the oracle."""
-    graphs = [graph_and_overlaps(cloud, k)]
-    with monkeypatch.context() as patch:
-        patch.setattr(geometry, "_BATCH_ENTRIES", 64)
-        patch.setattr(geometry, "_WORKERS", 4)
-        graphs.append(graph_and_overlaps(cloud, k))
-    return graphs
-
-
-@pytest.mark.parametrize("dim", [2, 6])
-def test_shared_moments_match_set_intersection(rng, monkeypatch, dim):
-    # Far from the origin, so the moments are not computed in coordinates
-    # that happen to be centred already.
-    pts = rng.standard_normal((80, dim)) + np.resize([40.0, -25.0], dim)
-    cloud = PointCloud(points=pts)
-    k = adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=20)
-    for graph, overlaps in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
-        sets = [set(neighbors(graph, i).tolist()) | {i} for i in range(80)]
-        # Edges from the higher index read their pair's moments reflected;
-        # both kinds of such edge occur, mutual and one-way.
-        mutual = np.array(
-            [int(i) in sets[int(j)] for i, j in zip(graph.edge_src, graph.edge_dst)]
-        )
-        high = graph.edge_src > graph.edge_dst
-        assert np.any(high & mutual) and np.any(high & ~mutual)
-        for e in range(graph.n_edges):
-            i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
-            shared = sorted((sets[i] & sets[j]) - {i, j})
-            assert overlaps.shared[e] == len(shared)
-            a = (pts[shared] - pts[i]) @ (pts[j] - pts[i])
-            np.testing.assert_allclose(
-                overlaps.moments[e], [a.sum(), (a * a).sum()],
-                rtol=1e-9, atol=1e-11,
-            )
-
-
-def test_overlap_table_matches_set_intersection(rng, monkeypatch):
+def test_overlap_table_matches_set_intersection(rng):
     pts = rng.standard_normal((80, 2))
     cloud = PointCloud(points=pts)
     k = adaptive_k(cloud, 2.0, lr_threshold=8.0, k_max=20)
-    for graph, overlaps in graphs_in_default_and_tiny_batches(cloud, k, monkeypatch):
-        sets = [set(neighbors(graph, i).tolist()) | {i} for i in range(80)]
-        for e in range(graph.n_edges):
-            i, j = int(graph.edge_src[e]), int(graph.edge_dst[e])
-            mutual = i in sets[j]
-            assert overlaps.shared[e] + 1 + mutual == len(sets[i] & sets[j])
-        for i in range(0, 80, 7):
-            for j in range(0, 80, 11):
-                want = len(sets[i] & sets[j])
-                assert overlap_count(graph, i, j) == want
-                expected = want / (graph.k[i] + graph.k[j] - want)
-                assert jaccard_overlap(graph, i, j) == pytest.approx(expected)
+    graph = neighbor_graph(cloud, k)
+    sets = [set(neighbors(graph, i).tolist()) | {i} for i in range(80)]
+    for i in range(0, 80, 7):
+        for j in range(0, 80, 11):
+            want = len(sets[i] & sets[j])
+            assert overlap_count(graph, i, j) == want
+            expected = want / (graph.k[i] + graph.k[j] - want)
+            assert jaccard_overlap(graph, i, j) == pytest.approx(expected)
 
 
 def test_jaccard_bounds_and_symmetry(rng):
@@ -293,6 +250,11 @@ def test_graph_guards(rng):
         build_neighbor_graph(cloud, np.full(20, 5), rows[0], rows[1][:19])
     with pytest.raises(ParameterError):
         build_neighbor_graph(cloud, np.full(20, 5), rows[0] + 20, rows[1])
+    # A row that lists its own point.
+    own = rows[0].copy()
+    own[4] = 1
+    with pytest.raises(ParameterError):
+        build_neighbor_graph(cloud, np.full(20, 5), own, rows[1])
     dup = np.zeros((6, 2))
     dup[3:] += 1.0
     dup_cloud = PointCloud(points=dup)

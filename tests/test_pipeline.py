@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_knn_queries, graph_and_overlaps, twonn
+from conftest import count_knn_queries, neighbor_graph, twonn
 
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
@@ -57,9 +57,9 @@ def test_knn_table_grown_by_rows_and_stages_by_hand(monkeypatch):
     # k the full 255 columns, so the grown table must give the same sizes.
     d = twonn(cloud).d
     k, _, _ = select_adaptive_k(cloud, *geometry.knn_query_all(cloud, 255), d)
-    graph, overlaps = graph_and_overlaps(cloud, k)
+    graph = neighbor_graph(cloud, k)
     gradients = compute_gradient_field(graph, cloud, d)
-    edges = build_delta_f_edges(graph, overlaps, gradients, cloud)
+    edges = build_delta_f_edges(graph, gradients, cloud)
     estimate = solve_bmti(assemble_system(edges))
     assert result.d_used == d
     np.testing.assert_array_equal(result.graph.k, k)
@@ -187,23 +187,11 @@ def test_run_bmti_invariant_under_isometry_and_rescaling(
 
 def test_results_independent_of_threads_and_batches(monkeypatch):
     cloud = generate_dataset("mb2d", n=600, seed=4)
-    build_graph = pipeline.build_neighbor_graph
 
     def stages():
-        # The overlaps are not part of the result; keep them from the call.
-        built = []
-
-        def kept(*args):
-            built.append(build_graph(*args))
-            return built[-1]
-
-        with mock.patch.object(pipeline, "build_neighbor_graph", kept):
-            result = run_bmti(cloud)
-        ((_, overlaps),) = built
+        result = run_bmti(cloud)
         gradients, edges = result.gradients, result.edges
         return {
-            "overlaps.shared": overlaps.shared,
-            "overlaps.moments": overlaps.moments,
             "g": gradients.g,
             "var_g": gradients.var_g,
             "delta_f": edges.delta_f,
@@ -216,10 +204,13 @@ def test_results_independent_of_threads_and_batches(monkeypatch):
 
     default = stages()
     # A few items per batch in every stage kernel, on one thread, then on
-    # more threads than cores with frequent thread switches.
-    monkeypatch.setattr(geometry, "_BATCH_ENTRIES", 1 << 10)
+    # more threads than cores with frequent thread switches; then one item
+    # per batch (the spreads' D x D = 4 entries an edge).
     interval = sys.getswitchinterval()
-    for workers, switch in ((1, interval), (8, 1e-5)):
+    for budget, workers, switch in (
+        (1 << 10, 1, interval), (1 << 10, 8, 1e-5), (4, 1, interval)
+    ):
+        monkeypatch.setattr(geometry, "_BATCH_ENTRIES", budget)
         monkeypatch.setattr(geometry, "_WORKERS", workers)
         sys.setswitchinterval(switch)
         try:
@@ -227,7 +218,7 @@ def test_results_independent_of_threads_and_batches(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         for name, value in default.items():
-            assert np.array_equal(value, other[name]), (workers, name)
+            assert np.array_equal(value, other[name]), (budget, workers, name)
 
 
 def test_disconnected_graph_warns_once_and_assembles_once(monkeypatch):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import edge_set, graph_and_overlaps, neighbor_graph
+from conftest import edge_set, neighbor_graph
 from oracles import component_labels, laplacian_system
 
 from bmti.delta_f import build_delta_f_edges
@@ -253,9 +253,9 @@ def test_anchor_hand_value(rng):
 def test_regularized_limits(rng):
     pts = rng.standard_normal((60, 2))
     cloud = PointCloud(points=pts)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(60, 6))
+    graph = neighbor_graph(cloud, np.full(60, 6))
     field = compute_gradient_field(graph, cloud, 2.0)
-    system = assemble_system(build_delta_f_edges(graph, overlaps, field, cloud))
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
 
     anchor_only = solve_bmti(system, alpha=0.0, anchor=(f0, h))
@@ -273,9 +273,9 @@ def test_regularized_limits(rng):
 def test_regularized_blend_matches_dense(rng):
     pts = rng.standard_normal((40, 2))
     cloud = PointCloud(points=pts)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(40, 5))
+    graph = neighbor_graph(cloud, np.full(40, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
-    system = assemble_system(build_delta_f_edges(graph, overlaps, field, cloud))
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
     alpha = 0.7
     est = solve_bmti(system, tol=1e-12, alpha=alpha, anchor=(f0, h))
@@ -289,9 +289,9 @@ def test_regularized_disconnected_warns(rng):
     a = rng.standard_normal((20, 2))
     b = rng.standard_normal((20, 2)) + 500.0
     cloud = PointCloud(points=np.vstack([a, b]))
-    graph, overlaps = graph_and_overlaps(cloud, np.full(40, 5))
+    graph = neighbor_graph(cloud, np.full(40, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
-    system = assemble_system(build_delta_f_edges(graph, overlaps, field, cloud))
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
     with pytest.warns(UserWarning, match="components"):
         est = solve_bmti(system, alpha=1.0, anchor=(f0, h))
@@ -304,9 +304,9 @@ def test_regularized_disconnected_warns(rng):
 def test_regularized_guards(rng):
     pts = rng.standard_normal((20, 2))
     cloud = PointCloud(points=pts)
-    graph, overlaps = graph_and_overlaps(cloud, np.full(20, 5))
+    graph = neighbor_graph(cloud, np.full(20, 5))
     field = compute_gradient_field(graph, cloud, 2.0)
-    system = assemble_system(build_delta_f_edges(graph, overlaps, field, cloud))
+    system = assemble_system(build_delta_f_edges(graph, field, cloud))
     f0, h = knn_anchor(graph, cloud, 2.0)
     for alpha, anchor in (
         (1.5, (f0, h)),
