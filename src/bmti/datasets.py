@@ -61,9 +61,10 @@ class Potential:
     energy maps an (m, dim) array to (m,) energies; evaluate() additionally
     accepts a single point. beta is the inverse temperature multiplying U in
     the sampled density exp(-beta U). init_low/init_high bound the walker
-    starting box; bounds_low/bounds_high, when set, reject proposals outside
-    a hard box; period, when set, wraps coordinates into
-    [init_low, init_low + period) per axis.
+    starting box, which must be finite; bounds_low/bounds_high, when set
+    (both or neither), reject proposals outside a hard box that must contain
+    the init box; period, when set (finite, positive), wraps coordinates
+    into [init_low, init_low + period) per axis.
     """
 
     name: str
@@ -89,8 +90,23 @@ class Potential:
             if v.shape != (self.dim,):
                 raise ParameterError(f"{attr} must have one entry per dimension")
             object.__setattr__(self, attr, v)
-        if np.any(self.init_high <= self.init_low):
-            raise ParameterError("init box must have positive extent")
+        finite = np.isfinite(self.init_low) & np.isfinite(self.init_high)
+        if not np.all(finite & (self.init_high > self.init_low)):
+            raise ParameterError("init box must be finite with positive extent")
+        if self.period is not None and not np.all(
+            np.isfinite(self.period) & (self.period > 0.0)
+        ):
+            raise ParameterError("period must be finite and positive")
+        if (self.bounds_low is None) != (self.bounds_high is None):
+            raise ParameterError("bounds_low and bounds_high must be given together")
+        if self.bounds_low is not None:
+            if not np.all(self.bounds_low < self.bounds_high):
+                raise ParameterError("hard box must have bounds_low < bounds_high")
+            if not (
+                np.all(self.bounds_low <= self.init_low)
+                and np.all(self.init_high <= self.bounds_high)
+            ):
+                raise ParameterError("init box must lie inside the hard box")
 
     def evaluate(self, x) -> float | np.ndarray:
         """Energy U(x) for one point (dim,) or a batch (m, dim)."""
@@ -110,15 +126,16 @@ def mueller_brown(x, y):
     """Classical four-term Mueller-Brown surface at (x, y); broadcasts."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    u = np.zeros(np.broadcast(x, y).shape)
+    # The four terms along a trailing axis, added in term order so that the
+    # sum does not depend on numpy's reduction order.
+    dx = x[..., None] - _MB_CENTER[:, 0]
+    dy = y[..., None] - _MB_CENTER[:, 1]
+    a, b, c = _MB_QUAD.T
     # Large coordinates overflow the growing first term to inf, which is the
     # correct limit and must not warn.
     with np.errstate(over="ignore"):
-        for t in range(4):
-            dx = x - _MB_CENTER[t, 0]
-            dy = y - _MB_CENTER[t, 1]
-            a, b, c = _MB_QUAD[t]
-            u = u + _MB_COEF[t] * np.exp(a * dx * dx + b * dx * dy + c * dy * dy)
+        e = _MB_COEF * np.exp(a * dx * dx + b * dx * dy + c * dy * dy)
+    u = ((e[..., 0] + e[..., 1]) + e[..., 2]) + e[..., 3]
     return u if u.shape else float(u)
 
 
@@ -143,8 +160,8 @@ def glassy_centers(seed: int = GLASSY_CENTER_SEED) -> np.ndarray:
     )
 
 
-def _min_image(delta: np.ndarray) -> np.ndarray:
-    return delta - _GLASSY_PERIOD * np.round(delta / _GLASSY_PERIOD)
+def _min_image(delta: np.ndarray, period=_GLASSY_PERIOD) -> np.ndarray:
+    return delta - period * np.round(delta / period)
 
 
 # Exact normalizer of the three-bump component (the constant prints as 0.11):
@@ -166,9 +183,11 @@ def glassy_density(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d3 = _min_image(pts - np.array([0.5, -1.0]))
     t3 = 4.0 * np.exp(-d3[:, 0] ** 2 - 10.0 * d3[:, 1] ** 2)
     rho = 0.6 * _GLASSY_BUMP_NORM * (t1 + t2 + t3)
-    # 90 isotropic Gaussians carrying mass 0.002 each.
-    diff = _min_image(pts[:, None, :] - centers[None, :, :])
-    q = (diff**2).sum(axis=2) / (2.0 * _GLASSY_GAUSS_SIGMA2)
+    # 90 isotropic Gaussians carrying mass 0.002 each, on (m, 90) arrays one
+    # coordinate at a time.
+    dx = _min_image(pts[:, :1] - centers[:, 0], _GLASSY_PERIOD[0])
+    dy = _min_image(pts[:, 1:2] - centers[:, 1], _GLASSY_PERIOD[1])
+    q = (dx * dx + dy * dy) / (2.0 * _GLASSY_GAUSS_SIGMA2)
     norm = _GLASSY_GAUSS_MASS / (2.0 * np.pi * _GLASSY_GAUSS_SIGMA2)
     rho = rho + norm * np.exp(-q).sum(axis=1)
     # Uniform background, mass 0.22 over the box area.
@@ -261,7 +280,9 @@ def sample_mcmc(
 
     Runs `walkers` independent chains with isotropic Gaussian proposals.
     When step is None the proposal width is tuned during burn-in toward a
-    40% acceptance rate; a given step skips tuning but still burns in.
+    40% acceptance rate, in ten windows of burn_in // 10 steps, and the
+    burn_in % 10 steps left over run at the tuned width; a given step skips
+    tuning but still burns in.
     Every thinning-th sweep contributes one point per walker until n points
     exist. truth_F stores beta*U per point (the normalization constant is a
     gauge). Deterministic for a fixed seed. Warns when the production
@@ -277,40 +298,52 @@ def sample_mcmc(
     rng = np.random.default_rng(seed)
     dim = potential.dim
     beta = potential.beta
-    blo, bhi = potential.bounds_low, potential.bounds_high
     period = potential.period
     low = potential.init_low
+    # Proposals are finite, so only the axes with a finite bound can fail the
+    # hard box.
+    box = blo = bhi = None
+    if potential.bounds_low is not None:
+        finite = np.isfinite(potential.bounds_low) | np.isfinite(potential.bounds_high)
+        if finite.any():
+            box = np.flatnonzero(finite)
+            blo, bhi = potential.bounds_low[box], potential.bounds_high[box]
 
     x = rng.uniform(potential.init_low, potential.init_high, size=(walkers, dim))
     u = potential.evaluate(x)
 
     def sweep(n_steps: int, s: float) -> float:
-        nonlocal x, u
         accepted = 0
-        for _ in range(n_steps):
-            prop = x + s * rng.standard_normal((walkers, dim))
-            if period is not None:
-                prop = low + (prop - low) % period
-            u_prop = potential.evaluate(prop)
-            with np.errstate(invalid="ignore"):
+        # An inf - inf energy difference is NaN and rejects the proposal.
+        with np.errstate(invalid="ignore"):
+            for _ in range(n_steps):
+                prop = rng.standard_normal((walkers, dim))
+                prop *= s
+                prop += x
+                if period is not None:
+                    prop -= low
+                    prop %= period
+                    prop += low
+                u_prop = potential.evaluate(prop)
                 take = np.log(rng.random(walkers)) < -beta * (u_prop - u)
-            if blo is not None:
-                take &= np.all((prop >= blo) & (prop <= bhi), axis=1)
-            x[take] = prop[take]
-            u[take] = u_prop[take]
-            accepted += int(take.sum())
+                if box is not None:
+                    side = prop[:, box]
+                    take &= ((side >= blo) & (side <= bhi)).all(axis=1)
+                np.copyto(x, prop, where=take[:, None])
+                np.copyto(u, u_prop, where=take)
+                accepted += np.count_nonzero(take)
         return accepted / float(n_steps * walkers)
 
     if step is None:
         s = 0.25 * float(np.mean(potential.init_high - potential.init_low))
         s /= math.sqrt(dim)
-        n_windows = 10
-        w_len = burn_in // n_windows
-        for _ in range(n_windows):
-            if w_len == 0:
-                break
-            rate = sweep(w_len, s)
-            s *= math.exp(2.0 * (rate - 0.4))
+        w_len, rest = divmod(burn_in, 10)
+        if w_len:
+            for _ in range(10):
+                rate = sweep(w_len, s)
+                s *= math.exp(2.0 * (rate - 0.4))
+        if rest:
+            sweep(rest, s)
     else:
         s = float(step)
         if burn_in:

@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.stats import kstest
 
 from . import geometry
 from .exceptions import DataError, ParameterError
@@ -298,6 +297,10 @@ def pull_statistics(values, errors, truth) -> tuple[float, float, float]:
         raise DataError("cannot compute pull statistics of empty arrays")
     if np.any(e <= 0.0):
         raise ParameterError("errors must be strictly positive")
+    # scipy.stats takes longer to import than the rest of bmti, and only this
+    # diagnostic needs it.
+    from scipy.stats import kstest
+
     z = (v - t) / e
     std = float(z.std(ddof=1)) if z.size > 1 else 0.0
     ks = float(kstest(z, "norm").statistic)

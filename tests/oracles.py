@@ -1,4 +1,5 @@
-"""Scalar references for the vectorized stage kernels and the file writers.
+"""Scalar references for the vectorized stage kernels, the sampler and the
+file writers.
 
 Each function computes, for one point or one edge, straight from the
 definitions and the neighbour lists (neighbors), an entry of what
@@ -7,15 +8,30 @@ for all of them at once; laplacian_system adds up the solver's matrix one
 edge at a time, and component_labels joins the solver's components one edge
 at a time; dump_edges_rows writes `bmti estimate --dump-edges` and
 parity_export_rows writes evaluation.parity_export one csv row at a time.
-The tests compare the two.
+mueller_brown adds the surface up one term at a time, glassy_density
+broadcasts over both coordinates at once, and sample_mcmc takes each
+Metropolis step with boolean-mask updates over every axis. The tests compare
+the two.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
+from bmti.datasets import (
+    _GLASSY_BUMP_NORM,
+    _GLASSY_GAUSS_MASS,
+    _GLASSY_GAUSS_SIGMA2,
+    _GLASSY_PERIOD,
+    _MB_CENTER,
+    _MB_COEF,
+    _MB_QUAD,
+    Potential,
+    _min_image,
+)
 from bmti.delta_f import _QFORM_RTOL, EPS2_MIN
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud
@@ -294,3 +310,104 @@ def parity_export_rows(predicted, truth, path) -> None:
         writer.writerow(["F_true", "F_hat_aligned"])
         for ti, pi in zip(t, p + offset):
             writer.writerow([f"{ti:.17g}", f"{pi:.17g}"])
+
+
+# Benchmark landscapes and their sampler.
+
+
+def mueller_brown(x, y):
+    """The four-term Mueller-Brown surface, added up one term at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    u = np.zeros(np.broadcast(x, y).shape)
+    with np.errstate(over="ignore"):
+        for t in range(4):
+            dx = x - _MB_CENTER[t, 0]
+            dy = y - _MB_CENTER[t, 1]
+            a, b, c = _MB_QUAD[t]
+            u = u + _MB_COEF[t] * np.exp(a * dx * dx + b * dx * dy + c * dy * dy)
+    return u if u.shape else float(u)
+
+
+def glassy_density(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """The glassy mixture's density, its narrow Gaussians on one
+    (m, centres, 2) array of minimum-image differences."""
+    pts = np.asarray(pts, dtype=np.float64)
+    d1 = _min_image(pts - np.array([-1.0, 0.5]))
+    u, v = d1[:, 0], d1[:, 1]
+    t1 = 3.4 * np.exp(-6.5 * u * u + 11.0 * u * v - 6.5 * v * v)
+    d2 = _min_image(pts - np.array([-0.5, -0.5]))
+    t2 = 2.0 * np.exp(-d2[:, 0] ** 2 - 10.0 * d2[:, 1] ** 2)
+    d3 = _min_image(pts - np.array([0.5, -1.0]))
+    t3 = 4.0 * np.exp(-d3[:, 0] ** 2 - 10.0 * d3[:, 1] ** 2)
+    rho = 0.6 * _GLASSY_BUMP_NORM * (t1 + t2 + t3)
+    diff = _min_image(pts[:, None, :] - centers[None, :, :])
+    q = (diff**2).sum(axis=2) / (2.0 * _GLASSY_GAUSS_SIGMA2)
+    norm = _GLASSY_GAUSS_MASS / (2.0 * np.pi * _GLASSY_GAUSS_SIGMA2)
+    rho = rho + norm * np.exp(-q).sum(axis=1)
+    return rho + 0.22 / float(np.prod(_GLASSY_PERIOD))
+
+
+def sample_mcmc(
+    potential: Potential,
+    n: int,
+    seed: int = 0,
+    step: float | None = None,
+    burn_in: int = 2000,
+    thinning: int = 50,
+    walkers: int = 32,
+) -> PointCloud:
+    """datasets.sample_mcmc for valid arguments, without its acceptance
+    warning: every step allocates its proposal, checks the hard box on all
+    axes and updates the walkers through boolean masks."""
+    rng = np.random.default_rng(seed)
+    dim = potential.dim
+    beta = potential.beta
+    blo, bhi = potential.bounds_low, potential.bounds_high
+    period = potential.period
+    low = potential.init_low
+
+    x = rng.uniform(potential.init_low, potential.init_high, size=(walkers, dim))
+    u = potential.evaluate(x)
+
+    def sweep(n_steps: int, s: float) -> float:
+        nonlocal x, u
+        accepted = 0
+        for _ in range(n_steps):
+            prop = x + s * rng.standard_normal((walkers, dim))
+            if period is not None:
+                prop = low + (prop - low) % period
+            u_prop = potential.evaluate(prop)
+            with np.errstate(invalid="ignore"):
+                take = np.log(rng.random(walkers)) < -beta * (u_prop - u)
+            if blo is not None:
+                take &= np.all((prop >= blo) & (prop <= bhi), axis=1)
+            x[take] = prop[take]
+            u[take] = u_prop[take]
+            accepted += int(take.sum())
+        return accepted / float(n_steps * walkers)
+
+    if step is None:
+        s = 0.25 * float(np.mean(potential.init_high - potential.init_low))
+        s /= math.sqrt(dim)
+        w_len = burn_in // 10
+        for _ in range(10):
+            if w_len == 0:
+                break
+            rate = sweep(w_len, s)
+            s *= math.exp(2.0 * (rate - 0.4))
+        if burn_in % 10:
+            sweep(burn_in % 10, s)
+    else:
+        s = float(step)
+        if burn_in:
+            sweep(burn_in, s)
+
+    blocks = -(-n // walkers)
+    pts = np.empty((blocks * walkers, dim))
+    energies = np.empty(blocks * walkers)
+    for b in range(blocks):
+        sweep(thinning, s)
+        pts[b * walkers : (b + 1) * walkers] = x
+        energies[b * walkers : (b + 1) * walkers] = u
+    return PointCloud(points=pts[:n], truth_F=beta * energies[:n])

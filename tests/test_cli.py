@@ -2,6 +2,9 @@
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from conftest import count_knn_queries, twonn
 from oracles import dump_edges_rows
 
+import bmti
 from bmti.baselines import knn_density
 from bmti.cli import main, read_cloud_csv
 from bmti.pipeline import BmtiConfig, run_bmti
@@ -260,3 +264,15 @@ def test_evaluate_median_statistic(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "offset: 0" in out
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes longer to import than the rest of bmti together; only
+    # delta_f.pull_statistics needs it, and it imports it on call.
+    code = "import sys, bmti, bmti.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(bmti.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

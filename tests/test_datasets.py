@@ -1,9 +1,14 @@
 """Tests for the benchmark potentials, the MCMC sampler and the embeddings."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
 from scipy.spatial.distance import pdist
+
+import oracles
 
 from bmti.datasets import (
     DATASET_DEFAULTS,
@@ -11,6 +16,7 @@ from bmti.datasets import (
     GLASSY_BOX_HIGH,
     GLASSY_BOX_LOW,
     EmbeddingSpec,
+    Potential,
     generate_dataset,
     glassy_centers,
     glassy_density,
@@ -119,6 +125,30 @@ def test_mueller_brown_diverges_far_out():
     assert np.isinf(mueller_brown(100.0, 100.0))
 
 
+def test_mueller_brown_matches_term_by_term_oracle():
+    for x, y in [(1.0, 0.0), (-0.558, 1.442), (0.3, -0.7), (-1.5, 2.0)]:
+        got = mueller_brown(x, y)
+        assert isinstance(got, float)
+        assert got == oracles.mueller_brown(x, y)
+    rng = np.random.default_rng(3)
+    for xs, ys in [
+        (rng.uniform(-1.5, 1.0, (3, 1)), rng.uniform(-0.5, 2.0, (1, 4))),
+        (0.25, rng.uniform(-0.5, 2.0, 5)),
+        (rng.uniform(-1.5, 1.0, (2, 3, 2)), rng.uniform(-0.5, 2.0, 2)),
+    ]:
+        got = mueller_brown(xs, ys)
+        assert got.shape == np.broadcast(xs, ys).shape
+        assert np.array_equal(got, oracles.mueller_brown(xs, ys))
+    # Far out, the first term overflows to inf without a warning.
+    xs = np.array([100.0, -60.0, 1e3, 30.0, 1.0])
+    ys = np.array([100.0, 80.0, 1e3, -40.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mueller_brown(xs, ys)
+    assert np.isinf(got[:4]).all() and np.isfinite(got[4])
+    assert np.array_equal(got, oracles.mueller_brown(xs, ys))
+
+
 def test_gauss2d_energy_is_half_quadratic_form():
     pot = make_potential("gauss2d", sigma=np.diag([2.0, 1.0]))
     assert pot.evaluate([0.0, 0.0]) == 0.0
@@ -216,6 +246,15 @@ def test_glassy_density_integrates_to_one():
     assert mass == pytest.approx(1.0, abs=1e-3)
 
 
+def test_glassy_density_matches_broadcast_oracle():
+    centers = glassy_centers()
+    pts = np.random.default_rng(8).uniform(-6.0, 6.0, (2000, 2))
+    for chunk in (pts[:1], pts[1:33], pts[33:]):
+        assert np.array_equal(
+            glassy_density(chunk, centers), oracles.glassy_density(chunk, centers)
+        )
+
+
 def test_glassy_density_is_periodic():
     centers = glassy_centers()
     pts = np.array([[-3.9, -1.9], [0.3, 1.7], [3.95, 0.0]])
@@ -240,6 +279,91 @@ def test_glassy_centers_deterministic():
     assert np.array_equal(a, b)
     assert a.shape == (90, 2)
     assert not np.array_equal(a, glassy_centers(999))
+
+
+def _oracle_potential(name):
+    """The named potential, its energy the oracle's for mb2d and glassy2d."""
+    pot = make_potential(name)
+    if name == "mb2d":
+        return dataclasses.replace(
+            pot, energy=lambda p: oracles.mueller_brown(p[:, 0], p[:, 1])
+        )
+    if name == "glassy2d":
+        centers = glassy_centers()
+        return dataclasses.replace(
+            pot, energy=lambda p: -np.log(oracles.glassy_density(p, centers))
+        )
+    return pot
+
+
+@pytest.mark.parametrize("name", ["gauss2d", "mb2d", "sixd", "glassy2d"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n=70, step=None, burn_in=205, thinning=5),
+        dict(n=70, step=None, burn_in=0, thinning=5),
+        dict(n=45, step=1.0, burn_in=37, thinning=4, walkers=7),
+        dict(n=6, step=None, burn_in=23, thinning=3, walkers=1),
+    ],
+)
+def test_sampler_matches_step_loop_oracle(name, kwargs):
+    # Bit for bit: same draws in the same order, same arithmetic. The given
+    # step of 1.0 leaves the sixd box and wraps the glassy2d period often.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = sample_mcmc(make_potential(name), seed=11, **kwargs)
+    want = oracles.sample_mcmc(_oracle_potential(name), seed=11, **kwargs)
+    assert np.array_equal(got.points, want.points)
+    assert np.array_equal(got.truth_F, want.truth_F)
+
+
+def test_sampler_burn_in_runs_every_step():
+    # One energy call for the start, one per burn-in step, one per sweep of
+    # the single production block.
+    calls = []
+
+    def energy(pts):
+        calls.append(len(pts))
+        return 0.5 * (pts * pts).sum(axis=1)
+
+    pot = Potential(
+        name="count", dim=1, beta=1.0, energy=energy,
+        init_low=np.array([-1.0]), init_high=np.array([1.0]),
+    )
+    for step in (None, 0.5):
+        for burn_in in (0, 5, 9, 10, 2005):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                sample_mcmc(
+                    pot, 2, seed=0, step=step, burn_in=burn_in, thinning=3, walkers=2
+                )
+            assert len(calls) == 1 + burn_in + 3
+
+
+def test_potential_rejects_bad_boxes():
+    base = dict(name="box", dim=1, beta=1.0, energy=lambda p: p[:, 0])
+    for lo, hi in [(0.0, 0.0), (1.0, -1.0), (np.nan, 1.0), (-1.0, np.inf)]:
+        with pytest.raises(ParameterError, match="finite with positive extent"):
+            Potential(**base, init_low=[lo], init_high=[hi])
+    for period in (0.0, -2.0, np.inf):
+        with pytest.raises(ParameterError, match="period"):
+            Potential(**base, init_low=[0.0], init_high=[0.5], period=[period])
+    with pytest.raises(ParameterError, match="bounds_low < bounds_high"):
+        Potential(**base, init_low=[0.0], init_high=[0.5],
+                  bounds_low=[1.0], bounds_high=[-1.0])
+    for lo, hi in [(5.0, 6.0), (-2.0, 0.0), (0.5, 1.5)]:
+        with pytest.raises(ParameterError, match="inside the hard box"):
+            Potential(**base, init_low=[lo], init_high=[hi],
+                      bounds_low=[-1.0], bounds_high=[1.0])
+    with pytest.raises(ParameterError, match="together"):
+        Potential(**base, init_low=[0.0], init_high=[0.5], bounds_low=[-1.0])
+    # An init box equal to the hard box is valid, as in sixd.
+    Potential(**base, init_low=[-1.0], init_high=[1.0],
+              bounds_low=[-1.0], bounds_high=[1.0])
+    sixd = make_potential("sixd")
+    assert np.array_equal(sixd.init_low[:2], sixd.bounds_low[:2])
+    assert np.array_equal(sixd.init_high[:2], sixd.bounds_high[:2])
 
 
 def test_sampler_matches_gaussian_covariance():
