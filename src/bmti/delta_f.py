@@ -162,6 +162,9 @@ def build_delta_f_edges(
     g, var_g, shift = gradients.g, gradients.var_g, gradients.mean_shift
     k, scale = graph.k, gradients.scale
     dim = pts.shape[1]
+    # Edge and point indices that live through the batches are int32 where
+    # n and E allow.
+    itype = np.int32 if max(n, n_e) <= np.iinfo(np.int32).max else np.int64
 
     # Rows run in point order, so a stable sort of the pair codes lo n + hi
     # puts the edge from lo of a mutual pair first (its representative) and
@@ -175,8 +178,8 @@ def build_delta_f_edges(
     del codes
     run = np.diff(head, append=n_e)
     mutual = run == 2
-    rep = order[head]
-    twin = np.full(rep.shape[0], -1, dtype=np.int64)
+    rep = order[head].astype(itype)
+    twin = np.full(rep.shape[0], -1, dtype=itype)
     twin[mutual] = order[head[mutual] + 1]
     del order, head
     if np.any(run > 2) or np.any(src[twin[mutual]] == src[rep[mutual]]):
@@ -187,9 +190,10 @@ def build_delta_f_edges(
     # exactly the points shared besides i and j. Its indices are a copy that
     # sum_duplicates sorts (edge_dst keeps neighbour order), canonical before
     # the batches read it from several threads.
-    indptr = np.concatenate([[0], np.cumsum(k - 1)])
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(k - 1, out=indptr[1:])
     member = sp.csr_matrix(
-        (np.ones(n_e, dtype=np.int8), dst.copy(), indptr), shape=(n, n)
+        (np.ones(n_e, dtype=np.int8), dst.astype(itype), indptr), shape=(n, n)
     )
     member.sum_duplicates()
     # Coordinates centred on the cloud mean and their pairwise products:

@@ -41,9 +41,10 @@ _TIE_PAD = 8
 # equal-distance points the tree left out, and is widened to a ball.
 _TIE_SLACK = 1e-9
 
-# Rows x candidates x dim of one chunk of rows; bounds the workspace of a
-# query.
-_CHUNK_ENTRIES = 1 << 21
+# Rows x candidates of one chunk of rows; bounds the workspace of a query,
+# which holds a few arrays of that many entries at any embedding dimension
+# (the distances are summed one coordinate at a time).
+_CHUNK_ENTRIES = 1 << 18
 
 # Array entries one batch of a stage kernel (gradient, edge pair, spread) may
 # span; small enough that a batch's temporaries stay in cache.
@@ -144,8 +145,12 @@ def _squared_distances(
     query it is part of.
     """
     sq = np.zeros(cand.shape)
+    diff = np.empty(cand.shape)
     for col in cloud._columns:
-        diff = col[cand] - col[centres]
+        # mode="wrap" writes straight into diff (the default buffers); cand
+        # holds valid indices.
+        np.take(col, cand, out=diff, mode="wrap")
+        diff -= col[centres]
         diff *= diff
         sq += diff
     return sq
@@ -227,12 +232,13 @@ def knn_query_all(
     out_idx = np.empty((n_rows, k), dtype=np.int64)
     out_dist = np.empty((n_rows, k), dtype=np.float64)
     m = min(k + 1 + _TIE_PAD, n)
-    chunk = max(1, _CHUNK_ENTRIES // (m * cloud.embed_dim))
+    chunk = max(1, _CHUNK_ENTRIES // m)
     for lo in range(0, n_rows, chunk):
         hi = min(lo + chunk, n_rows)
         sel = rows[lo:hi]
-        _, cand = tree.query(pts[sel], k=m, workers=-1)
-        dist = np.sqrt(_squared_distances(cloud, sel[:, None], cand))
+        cand = tree.query(pts[sel], k=m, workers=-1)[1]
+        dist = _squared_distances(cloud, sel[:, None], cand)
+        np.sqrt(dist, out=dist)
         c, d = cand[:, 1:], dist[:, 1:]
         # Rows whose tree order is canonical and whose k-th distance is
         # clear of the last candidate's are final; the rest (ties,
@@ -250,6 +256,9 @@ def knn_query_all(
             out_idx[lo + row], out_dist[lo + row] = _query_one(
                 cloud, int(sel[row]), k
             )
+        # Freed before the next chunk's query, whose workspace they would
+        # add to.
+        del cand, dist, c, d
     return out_idx, out_dist
 
 

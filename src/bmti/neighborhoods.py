@@ -13,8 +13,10 @@ test is about to read past the row's width. A row still growing at the
 start width goes to the cap; the row of a newest neighbour that stopped
 growing goes to twice the start width, and to the cap only if read past
 that. No dense (n, cap - 1) table is made: the graph gets its rows as one
-CSR edge list with their radii. The graph's component labels come with the
-assembled system (solver.assemble_system).
+CSR edge list with their radii, written a column at a time (column m by
+the rows at least m + 1 long), so that no index array as long as the edge
+list is made either. The graph's component labels come with the assembled
+system (solver.assemble_system).
 """
 
 from __future__ import annotations
@@ -198,21 +200,21 @@ def select_adaptive_k(
             break
         k_arr[active] = k
 
-    def gather(table: np.ndarray, store: np.ndarray, rows, col) -> np.ndarray:
-        """Entries of the ragged table at (rows, col), col below each row's width."""
-        out = np.empty(rows.shape, dtype=table.dtype)
-        head = col < start
-        out[head] = table[rows[head], col[head]]
-        tail = ~head
-        out[tail] = store[offset[rows[tail]] + col[tail] - start]
-        return out
-
+    # The rows as one CSR edge list, written a column at a time, so that no
+    # index array spans the edges. Rows go longest first: with reach[c] rows
+    # at least c long, the first reach[m + 1] have a column m, and it is the
+    # last column of those past the first reach[m + 2].
     counts = k_arr - 1
-    rows = np.repeat(np.arange(n), counts)
-    col = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    edge_dst = gather(idx, store_idx, rows, col)
-    del rows, col
-    radii = gather(dist, store_dist, np.arange(n), counts - 1)
+    by_len = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[by_len]
+    reach = np.cumsum(np.bincount(counts, minlength=cap + 1)[::-1])[::-1]
+    edge_dst = np.empty(int(counts.sum()), dtype=np.int64)
+    radii = np.empty(n)
+    for m in range(int(counts.max())):
+        rows = by_len[: reach[m + 1]]
+        edge_dst[starts[: rows.size] + m] = column(idx, store_idx, rows, m)
+        last = by_len[reach[m + 2] : reach[m + 1]]
+        radii[last] = column(dist, store_dist, last, m)
     return k_arr, edge_dst, radii
 
 

@@ -10,12 +10,14 @@ pointwise kNN likelihood (knn_anchor), which makes the system positive
 definite. solve_bmti is the one solver, at every alpha, of the one assembled
 system, and the one place that warns when the graph has several components.
 
-assemble_system reads the edge list as the rows of one CSR matrix W of the
-weights: A = diag(deg) - (W + W^T), with deg and b summed by np.bincount
-and the component labels, the only ones a run computes, taken from W. The
-CG loop updates its iterates in place and takes its dot products with
-np.einsum, not BLAS, whose threads slow it severalfold when another process
-keeps a core busy.
+assemble_system writes the edge list straight into the CSR arrays of H,
+with -w at each edge and deg/2 first in each row, and builds A with one
+sparse sum, A = H + H^T = diag(deg) - (W + W^T) for W the weights, taken a
+block of rows at a time so that no buffer larger than A outlives a block.
+deg and b are summed by np.bincount, and the component labels, the only
+ones a run computes, come from A's pattern. The CG loop updates its
+iterates in place and takes its dot products with np.einsum, not BLAS,
+whose threads slow it severalfold when another process keeps a core busy.
 """
 
 from __future__ import annotations
@@ -66,20 +68,49 @@ class LogDensityEstimate:
     residual: float
 
 
-def _edge_adjacency(
-    n: int, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
-) -> sp.csr_matrix:
-    """n x n CSR matrix holding weights[e] at (src[e], dst[e]).
+# Entries of H in one block of rows of the sum A = H + H^T. scipy allocates
+# a sum for the entries of both operands, nearly twice what the mutual edges
+# of a neighbour graph leave, so each block's sum is cut to its size before
+# the next one is made.
+_SUM_ENTRIES = 1 << 15
 
-    Rows come from the counts of src, in the edges' order within a row; a
-    stable sort by src, the identity on a CSR edge list, admits edges in any
-    order. Duplicate edges stay separate entries, which sparse arithmetic
-    and the component search read as their sum.
-    """
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((weights[order], dst[order], indptr), shape=(n, n))
+
+def _half_laplacian(
+    n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, deg: np.ndarray
+) -> sp.csr_matrix:
+    """H with H + H^T = diag(deg) - (W + W^T), W holding w[e] at (src[e],
+    dst[e]): deg/2 first in each row, then -w at each of the row's edges in
+    their order, written straight into CSR arrays. Duplicate edges stay
+    separate entries, which the sum reads as their sum."""
+    if np.any(src[1:] < src[:-1]):
+        # Not a CSR edge list: rows in point order, each keeping the order
+        # of its edges.
+        order = np.argsort(src, kind="stable")
+        w, dst = w[order], dst[order]
+    counts = np.bincount(src, minlength=n) + 1
+    itype = np.int32 if counts.sum() <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    diag = indptr[:-1]
+    off = np.ones(int(indptr[-1]), dtype=bool)
+    off[diag] = False
+    data = np.empty(off.size)
+    data[diag] = -0.5 * deg
+    data[off] = w
+    np.negative(data, out=data)
+    indices = np.empty(off.size, dtype=itype)
+    indices[diag] = np.arange(n)
+    indices[off] = dst
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _row_block(M: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo:hi of M, on views of its arrays."""
+    a, b = M.indptr[lo], M.indptr[hi]
+    return sp.csr_matrix(
+        (M.data[a:b], M.indices[a:b], M.indptr[lo : hi + 1] - a),
+        shape=(hi - lo, M.shape[1]),
+    )
 
 
 def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
@@ -92,17 +123,40 @@ def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
     if np.any(~np.isfinite(w)) or np.any(w <= 0.0):
         raise NumericalError("edge weights must be finite and positive")
     src, dst = edges.src, edges.dst
-
-    W = _edge_adjacency(n, src, dst, w)
-    _, labels = connected_components(W, directed=True, connection="weak")
     deg = np.bincount(src, w, minlength=n) + np.bincount(dst, w, minlength=n)
     wv = w * edges.delta_f
     b = np.bincount(dst, wv, minlength=n) - np.bincount(src, wv, minlength=n)
-    # Freed step by step: W with W^T, then W + W^T with A, are the two peaks.
-    off = W + W.T
-    del W
-    A = sp.diags(deg, format="csr") - off
-    return SolverSystem(A=A, b=b, component_labels=labels)
+    del wv
+    H = _half_laplacian(n, src, dst, w, deg)
+    del w
+    Ht = H.T.tocsr()
+
+    # A = H + H^T. Entries (i, j) and (j, i) add the same two sums, so A is
+    # symmetric to the bit; a zero sum (a point without edges) is dropped.
+    step = max(1, n * _SUM_ENTRIES // H.nnz)
+    parts = []
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        S = _row_block(H, lo, hi) + _row_block(Ht, lo, hi)
+        parts.append(
+            (S.data[: S.nnz].copy(), S.indices[: S.nnz].copy(), np.diff(S.indptr))
+        )
+        del S
+    del H, Ht
+    indptr = np.zeros(n + 1, dtype=parts[0][1].dtype)
+    np.cumsum(np.concatenate([p[2] for p in parts]), out=indptr[1:])
+    data = np.concatenate([p[0] for p in parts])
+    indices = np.concatenate([p[1] for p in parts])
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    # A's pattern is symmetric, so its strong components are the graph's
+    # weak ones, found without a transposed copy. They are numbered in the
+    # order of each component's lowest point.
+    _, labels = connected_components(A, directed=True, connection="strong")
+    _, first = np.unique(labels, return_index=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return SolverSystem(A=A, b=b, component_labels=rank[labels])
 
 
 def _center_per_component(x: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:

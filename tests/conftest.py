@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +106,17 @@ def count_knn_queries(monkeypatch) -> list:
         if name.split(".")[0] == "bmti" and "knn_query_all" in vars(module):
             monkeypatch.setattr(module, "knn_query_all", counted)
     return widths
+
+
+def traced(fn):
+    """fn() under tracemalloc: its result, the peak bytes allocated during
+    the call, and the part of that peak freed before it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base, peak - held

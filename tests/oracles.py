@@ -11,13 +11,17 @@ parity_export_rows writes evaluation.parity_export one csv row at a time.
 mueller_brown adds the surface up one term at a time, glassy_density
 broadcasts over both coordinates at once, and sample_mcmc takes each
 Metropolis step with boolean-mask updates over every axis. The tests compare
-the two.
+the two. stage_peaks is a measuring tool, not a reference: it runs run_bmti
+under tracemalloc and reports each stage's peak.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 
@@ -37,6 +41,7 @@ from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import GradientField
 from bmti.neighborhoods import NeighborGraph
+from bmti.pipeline import run_bmti
 
 
 # Neighbourhood overlaps.
@@ -411,3 +416,79 @@ def sample_mcmc(
         pts[b * walkers : (b + 1) * walkers] = x
         energies[b * walkers : (b + 1) * walkers] = u
     return PointCloud(points=pts[:n], truth_F=beta * energies[:n])
+
+
+# Stage memory.
+
+# run_bmti's stage functions, by the name run_bmti calls them, and the stage
+# each one is.
+_STAGES = {
+    "knn_query_all": "knn",
+    "estimate_id_twonn": "twonn",
+    "select_adaptive_k": "adaptive_k",
+    "build_neighbor_graph": "graph",
+    "compute_gradient_field": "gradients",
+    "build_delta_f_edges": "edge_kernel",
+    "assemble_system": "assembly",
+    "solve_bmti": "solve",
+}
+
+
+def stage_peaks(cloud: PointCloud, config=None) -> tuple[dict, object]:
+    """Traced peak bytes of each stage of one run_bmti call, and its result.
+
+    run_bmti runs as it is, under tracemalloc, with its stage functions
+    wrapped wherever a loaded bmti module holds them. A stage's peak counts
+    everything the call holds while the stage runs, its inputs included;
+    calls made inside a stage (adaptive k's kNN queries) count towards it.
+    "whole_call" is the call's peak, the work between stages included. The
+    cloud's points are allocated by the caller and not counted, as in the
+    benchmark's peak_mem_mb.
+    """
+    if tracemalloc.is_tracing():
+        raise RuntimeError("stage_peaks needs tracemalloc to be off")
+    peaks = {"whole_call": 0}
+    depth = 0
+
+    def mark(stage: str | None = None) -> None:
+        """Fold the peak since the last mark into the call's and stage's."""
+        peak = tracemalloc.get_traced_memory()[1]
+        peaks["whole_call"] = max(peaks["whole_call"], peak)
+        if stage is not None:
+            peaks[stage] = max(peaks.get(stage, 0), peak)
+        tracemalloc.reset_peak()
+
+    def wrapped(fn, stage):
+        def call(*args, **kwargs):
+            nonlocal depth
+            if depth:
+                return fn(*args, **kwargs)
+            mark()
+            depth += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth -= 1
+                mark(stage)
+
+        return call
+
+    saved = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "bmti":
+            continue
+        for fn_name, stage in _STAGES.items():
+            fn = vars(module).get(fn_name)
+            if callable(fn):
+                saved.append((module, fn_name, fn))
+                setattr(module, fn_name, wrapped(fn, stage))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_bmti(cloud, config)
+        mark()
+    finally:
+        tracemalloc.stop()
+        for module, fn_name, fn in saved:
+            setattr(module, fn_name, fn)
+    return peaks, result

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced
+
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import (
@@ -152,6 +154,40 @@ def test_query_of_rows_matches_full_table(rng, case):
     for bad in ([0, n], [-1], [[0, 1]]):
         with pytest.raises(ParameterError):
             knn_query_all(cloud, k, np.array(bad))
+
+
+@pytest.mark.parametrize("case", ["lattice", "duplicates", "twins"])
+def test_chunks_do_not_change_a_row(rng, case):
+    pts, k = _tie_cases(rng)[case]
+    m = min(k + 1 + geometry._TIE_PAD, pts.shape[0])
+    for cloud in (PointCloud(points=pts), PointCloud(points=_padded(pts))):
+        # One chunk at the default size.
+        idx, dist = knn_query_all(cloud, k)
+        # One row per chunk, then three rows and a shorter last chunk.
+        for entries in (1, 3 * m):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(geometry, "_CHUNK_ENTRIES", entries)
+                got_idx, got_dist = knn_query_all(cloud, k)
+            np.testing.assert_array_equal(got_idx, idx)
+            np.testing.assert_array_equal(got_dist, dist)
+
+
+def test_query_workspace_does_not_grow_with_dimension(monkeypatch):
+    # The same cloud in 2-d and zero-padded to 20-d: equal tables, and the
+    # workspace a query frees is bounded per entry of its chunks (rows x
+    # candidates) at either dimension. 2000 rows span nine chunks.
+    pts = np.random.default_rng(7).standard_normal((2000, 2))
+    monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", 1 << 14)
+    tables = []
+    for dim in (2, 20):
+        cloud = PointCloud(points=np.hstack([pts, np.zeros((2000, dim - 2))]))
+        # The tree and the coordinate columns are the cloud's, built once.
+        cloud._tree, cloud._columns
+        table, _, transient = traced(lambda: knn_query_all(cloud, 63))
+        assert transient <= 34 * geometry._CHUNK_ENTRIES, (dim, transient)
+        tables.append(table)
+    for low, high in zip(*tables):
+        np.testing.assert_array_equal(low, high)
 
 
 def test_exact_ties_break_by_index():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import adaptive_k, neighbor_graph, table_rows
+from conftest import adaptive_k, neighbor_graph, table_rows, traced
 from oracles import component_labels, jaccard_overlap, neighbors, overlap_count
 
 from bmti import geometry
@@ -159,6 +159,22 @@ def test_ragged_table_matches_full_width_table(monkeypatch):
         widened_twice += int((per_row == 2).sum())
     # Doubled rows read past their width were queried again, at the cap.
     assert widened_twice > 0
+
+
+def test_adaptive_k_workspace_does_not_grow_with_dimension():
+    # The same cloud in 2-d and zero-padded to 20-d: equal outputs, and the
+    # workspace adaptive k frees (its ragged store and widening queries) is
+    # bounded per edge at either dimension: no index array spans the edges.
+    pts = np.random.default_rng(7).standard_normal((2000, 2))
+    outputs = []
+    for dim in (2, 20):
+        cloud = PointCloud(points=np.hstack([pts, np.zeros((2000, dim - 2))]))
+        table = knn_query_all(cloud, 63)
+        out, _, transient = traced(lambda: select_adaptive_k(cloud, *table, 2.0))
+        assert transient <= 45 * out[1].size, (dim, transient / out[1].size)
+        outputs.append(out)
+    for low, high in zip(*outputs):
+        np.testing.assert_array_equal(low, high)
 
 
 def test_graph_structure_line_points():

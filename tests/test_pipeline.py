@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_knn_queries, neighbor_graph, twonn
+from oracles import stage_peaks
 
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
@@ -190,8 +191,11 @@ def test_results_independent_of_threads_and_batches(monkeypatch):
 
     def stages():
         result = run_bmti(cloud)
-        gradients, edges = result.gradients, result.edges
+        graph, gradients, edges = result.graph, result.gradients, result.edges
         return {
+            "k": graph.k,
+            "edge_dst": graph.edge_dst,
+            "radii": graph.radii,
             "g": gradients.g,
             "var_g": gradients.var_g,
             "delta_f": edges.delta_f,
@@ -203,14 +207,18 @@ def test_results_independent_of_threads_and_batches(monkeypatch):
         }
 
     default = stages()
-    # A few items per batch in every stage kernel, on one thread, then on
-    # more threads than cores with frequent thread switches; then one item
-    # per batch (the spreads' D x D = 4 entries an edge).
+    # A few items per batch in every stage kernel and a few rows per kNN
+    # chunk, on one thread, then on more threads than cores with frequent
+    # thread switches; then one item per batch (the spreads' D x D = 4
+    # entries an edge) and one row per chunk.
     interval = sys.getswitchinterval()
-    for budget, workers, switch in (
-        (1 << 10, 1, interval), (1 << 10, 8, 1e-5), (4, 1, interval)
+    for budget, chunk, workers, switch in (
+        (1 << 10, 1 << 12, 1, interval),
+        (1 << 10, 1 << 12, 8, 1e-5),
+        (4, 1, 1, interval),
     ):
         monkeypatch.setattr(geometry, "_BATCH_ENTRIES", budget)
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", chunk)
         monkeypatch.setattr(geometry, "_WORKERS", workers)
         sys.setswitchinterval(switch)
         try:
@@ -218,7 +226,23 @@ def test_results_independent_of_threads_and_batches(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
         for name, value in default.items():
-            assert np.array_equal(value, other[name]), (budget, workers, name)
+            assert np.array_equal(value, other[name]), (budget, chunk, workers, name)
+
+
+def test_whole_call_peak_under_112_bytes_per_edge(monkeypatch):
+    # On one thread, so that one batch of a stage kernel is alive at a time.
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    cloud = generate_dataset("mb2d", n=2000, seed=0)
+    peaks, result = stage_peaks(cloud)
+    stages = (
+        "knn", "twonn", "adaptive_k", "graph", "gradients", "edge_kernel",
+        "assembly", "solve",
+    )
+    assert set(peaks) == {*stages, "whole_call"}
+    assert max(peaks[s] for s in stages) <= peaks["whole_call"]
+    per_edge = peaks["whole_call"] / result.edges.n_edges
+    assert per_edge <= 112, {s: f"{p / 1e6:.1f} MB" for s, p in peaks.items()}
+    np.testing.assert_array_equal(result.F, run_bmti(cloud).F)
 
 
 def test_disconnected_graph_warns_once_and_assembles_once(monkeypatch):

@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from conftest import edge_set, neighbor_graph
+from conftest import edge_set, neighbor_graph, random_cloud, traced
 from oracles import component_labels, laplacian_system
 
+from bmti import solver
 from bmti.delta_f import build_delta_f_edges
 from bmti.exceptions import CapabilityError, ParameterError, StateError
-from bmti.geometry import PointCloud, unit_ball_volume
+from bmti.geometry import PointCloud, knn_query_all, unit_ball_volume
 from bmti.gradients import compute_gradient_field
 from bmti.solver import (
     assemble_system,
@@ -104,10 +103,13 @@ def assembly_case(rng, case):
 
 
 @pytest.mark.parametrize("case", ["shuffled", "duplicated", "disconnected"])
-def test_assembly_matches_edge_by_edge_oracle(rng, case):
+def test_assembly_matches_edge_by_edge_oracle(rng, monkeypatch, case):
     edges = assembly_case(rng, case)
     system = assemble_system(edges)
     A = system.A.toarray()
+    # Blocks of a few rows sum to the same matrix as one block.
+    monkeypatch.setattr(solver, "_SUM_ENTRIES", 7)
+    np.testing.assert_array_equal(assemble_system(edges).A.toarray(), A)
     want_A, want_b = laplacian_system(edges)
     scale = np.abs(want_A).max()
     assert np.abs(A - want_A).max() <= 1e-12 * scale
@@ -119,23 +121,36 @@ def test_assembly_matches_edge_by_edge_oracle(rng, case):
     assert labels.max() + 1 == (3 if case == "disconnected" else 1)
 
 
-def test_assembly_allocates_under_100_bytes_per_edge(rng):
+def test_assembly_allocates_under_60_bytes_per_edge(rng):
     # A CSR edge list like the pipeline's: rows in point order, 40 edges
-    # each, to random other points (so hardly any edge is mutual).
+    # each, to random other points (so hardly any edge is mutual, and A
+    # holds about two entries an edge).
     n, per_row = 5000, 40
     src = np.repeat(np.arange(n), per_row)
     dst = (src + rng.integers(1, n, size=src.shape[0])) % n
     e = src.shape[0]
     edges = edge_set(src, dst, rng.standard_normal(e), rng.uniform(0.2, 3.0, e), n)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        system = assemble_system(edges)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    system, peak, _ = traced(lambda: assemble_system(edges))
     assert system.A.shape == (n, n)
-    assert peak <= 100 * e, f"{peak / e:.0f} bytes per edge"
+    assert peak <= 60 * e, f"{peak / e:.1f} bytes per edge"
+
+
+def test_system_holds_exactly_its_entries(rng):
+    # A neighbour graph, most of its edges mutual: A has fewer entries than
+    # the two halves summed into it, so a sum buffer sized for both would
+    # be larger than A.
+    cloud = random_cloud(rng, 300, 2)
+    idx, _ = knn_query_all(cloud, 8)
+    src = np.repeat(np.arange(300), 8)
+    e = src.size
+    edges = edge_set(
+        src, idx.ravel(), rng.standard_normal(e), rng.uniform(0.2, 3.0, e), 300
+    )
+    A = assemble_system(edges).A
+    assert A.nnz < 2 * (e + 300)
+    for arr in (A.data, A.indices):
+        assert arr.size == A.nnz
+        assert arr.base is None or arr.base.nbytes == arr.nbytes
 
 
 def test_consistent_chain_rhs_in_column_space():
