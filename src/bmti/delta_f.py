@@ -10,9 +10,10 @@ coincident neighbourhoods and turns negative when the shared lens is thin,
 since a point in the lens pulls each mean toward the other end. One kernel
 intersects the rows and evaluates the error model once per unordered pair
 of points; the edge in the other direction takes the same error model and
-the opposite difference. Only the difference, its variance and the
-correlation span every edge; the two directional spreads are computed
-again when read (DeltaFEdgeSet.eps_src, eps_dst). pull_statistics
+the opposite difference. Besides the graph's own CSR edge list, only the
+difference, its variance and the correlation span every edge; the edge
+sources and the two directional spreads are computed again when read
+(DeltaFEdgeSet.src, eps_src, eps_dst). pull_statistics
 summarizes standardized residuals against a truth; calibration_report
 applies it to the edges.
 """
@@ -40,10 +41,11 @@ _QFORM_RTOL = 1e-8
 
 @dataclass
 class DeltaFEdgeSet:
-    """Per-edge difference estimates, aligned with the graph's edge arrays.
+    """Per-edge difference estimates on the rows of a CSR edge list.
 
-    src, dst : (E,) edge endpoints (directed, dst in Omega_src); the graph's
-        edge_src and edge_dst themselves.
+    indptr, dst : (n + 1,) and (E,) the graph's CSR edge list itself: the
+        edges from src = i end at dst[indptr[i]:indptr[i + 1]], in Omega_i.
+    src : (E,) edge sources, made from indptr on every read, not kept.
     delta_f : (E,) midpoint estimates of F_dst - F_src.
     eps2 : (E,) error-bar variances, floored at eps2_min.
     pearson : (E,) model correlation between the errors of the two
@@ -58,28 +60,36 @@ class DeltaFEdgeSet:
         (roundoff-negative forms clamped to 0), and kept.
     """
 
-    src: np.ndarray
+    indptr: np.ndarray
     dst: np.ndarray
     delta_f: np.ndarray
     eps2: np.ndarray
     pearson: np.ndarray
-    n_points: int
     var_g: np.ndarray
     points: np.ndarray
 
     @property
+    def n_points(self) -> int:
+        return self.indptr.shape[0] - 1
+
+    @property
     def n_edges(self) -> int:
-        return self.src.shape[0]
+        return self.dst.shape[0]
+
+    @property
+    def src(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_points), np.diff(self.indptr))
 
     @cached_property
     def eps_src(self) -> np.ndarray:
-        return self._spread(self.src)
+        src = self.src
+        return self._spread(src, src)
 
     @cached_property
     def eps_dst(self) -> np.ndarray:
-        return self._spread(self.dst)
+        return self._spread(self.src, self.dst)
 
-    def _spread(self, ends: np.ndarray) -> np.ndarray:
+    def _spread(self, src: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """sqrt(r^T var_g[w] r) per edge, w = ends, in batches of edges."""
         n_e, pts = self.n_edges, self.points
         out = np.empty(n_e)
@@ -88,7 +98,7 @@ class DeltaFEdgeSet:
 
         def spread_batch(s: int) -> None:
             e = min(s + batch, n_e)
-            r = pts[self.dst[s:e]] - pts[self.src[s:e]]
+            r = pts[self.dst[s:e]] - pts[src[s:e]]
             q = _qform(r, self.var_g, ends[s:e])
             q[q < 0.0] = 0.0
             np.sqrt(q, out=out[s:e])
@@ -156,8 +166,8 @@ def build_delta_f_edges(
     """
     if eps2_min <= 0.0:
         raise ParameterError("eps2_min must be positive")
-    src, dst = graph.edge_src, graph.edge_dst
-    n, n_e = graph.n_points, src.shape[0]
+    indptr, dst = graph.indptr, graph.edge_dst
+    n, n_e = graph.n_points, dst.shape[0]
     pts = cloud.points
     g, var_g, shift = gradients.g, gradients.var_g, gradients.mean_shift
     k, scale = graph.k, gradients.scale
@@ -170,7 +180,8 @@ def build_delta_f_edges(
     # puts the edge from lo of a mutual pair first (its representative) and
     # the edge from hi second (its twin); a one-way pair's one edge is its
     # representative. A longer run, or a pair's two edges from one source,
-    # is a row listing a neighbour twice.
+    # is a row listing a neighbour twice. A batch finds sources in indptr.
+    src = np.repeat(np.arange(n), np.diff(indptr))
     codes = np.minimum(src, dst) * n + np.maximum(src, dst)
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
@@ -184,16 +195,16 @@ def build_delta_f_edges(
     del order, head
     if np.any(run > 2) or np.any(src[twin[mutual]] == src[rep[mutual]]):
         raise ParameterError("a row of the graph lists one neighbour twice")
+    del src
 
     # The graph's rows as an int8 matrix, so that the row intersections move
     # less data: row i is Omega_i without i, so rows i and j intersect in
     # exactly the points shared besides i and j. Its indices are a copy that
     # sum_duplicates sorts (edge_dst keeps neighbour order), canonical before
     # the batches read it from several threads.
-    indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(k - 1, out=indptr[1:])
     member = sp.csr_matrix(
-        (np.ones(n_e, dtype=np.int8), dst.astype(itype), indptr), shape=(n, n)
+        (np.ones(n_e, dtype=np.int8), dst.astype(itype), indptr.astype(itype)),
+        shape=(n, n),
     )
     member.sum_duplicates()
     # Coordinates centred on the cloud mean and their pairwise products:
@@ -219,7 +230,7 @@ def build_delta_f_edges(
     def pair_batch(s: int) -> None:
         e = min(s + batch, n_pairs)
         edge = rep[s:e]
-        i_b, j_b = src[edge], dst[edge]
+        i_b, j_b = np.searchsorted(indptr, edge, side="right") - 1, dst[edge]
         r = pts[j_b] - pts[i_b]
         ds = np.einsum("ed,ed->e", g[i_b], r)
         dd = np.einsum("ed,ed->e", g[j_b], r)
@@ -273,12 +284,11 @@ def build_delta_f_edges(
         raise DataError("non-PSD gradient covariance along an edge")
 
     return DeltaFEdgeSet(
-        src=src,
+        indptr=indptr,
         dst=dst,
         delta_f=delta_f,
         eps2=eps2,
         pearson=pearson,
-        n_points=graph.n_points,
         var_g=var_g,
         points=pts,
     )

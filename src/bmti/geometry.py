@@ -10,8 +10,8 @@ numpy expression, summed one coordinate at a time, and ordered by
 a subset of rows: `run_bmti` queries every point at a start width, and
 adaptive k queries again, at twice the start width or at the cap, only the
 rows its test is about to read past, keeping their new columns in a ragged
-store (see `neighborhoods.select_adaptive_k`). `knn_query` answers for one
-point and serves as the per-point reference.
+store (see `neighborhoods.select_adaptive_k`). A row with ties or duplicate
+points is answered by the per-point path, `_query_one`.
 
 The k-d tree query runs on every CPU. The per-batch kernels of the gradient
 and edge stages do too, through `_run_batches`: one thread per CPU in the
@@ -115,14 +115,6 @@ class PointCloud:
         return np.ascontiguousarray(self.points.T)
 
 
-@dataclass(frozen=True)
-class NeighborQueryResult:
-    """Neighbours of one query point, nearest first, the point itself excluded."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-
 def unit_ball_volume(d: float) -> float:
     """Volume of the unit ball in d dimensions, (2/d) pi^(d/2) / Gamma(d/2).
 
@@ -172,6 +164,7 @@ def _canonical_candidates(
 
 
 def _query_one(cloud: PointCloud, i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of knn_query_all(cloud, k), found for point i alone."""
     pts = cloud.points
     n = cloud.n_points
     tree = cloud._tree
@@ -188,21 +181,6 @@ def _query_one(cloud: PointCloud, i: int, k: int) -> tuple[np.ndarray, np.ndarra
     return cand[:k], dist[:k]
 
 
-def knn_query(cloud: PointCloud, i: int, k: int) -> NeighborQueryResult:
-    """Exact k nearest neighbours of point i, self excluded.
-
-    Ties are broken by the lower point index. Raises ParameterError for k
-    outside [1, n-1] or i out of range.
-    """
-    n = cloud.n_points
-    if not 0 <= i < n:
-        raise ParameterError(f"point index {i} out of range for {n} points")
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
-    idx, dist = _query_one(cloud, i, k)
-    return NeighborQueryResult(indices=idx, distances=dist)
-
-
 def knn_query_all(
     cloud: PointCloud, k: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,12 +188,12 @@ def knn_query_all(
 
     Returns (indices, distances), each of shape (len(rows), k) (n rows when
     rows is None), rows sorted nearest first with ties broken by index. Same
-    results as per-point knn_query, so a row does not depend on which other
-    rows are queried with it. Rows are processed in chunks that bound the
-    workspace. A row whose tree order is already canonical (self first, then
+    results as the per-point _query_one, so a row does not depend on which
+    other rows are queried with it. Rows are processed in chunks that bound
+    the workspace. A row whose tree order is already canonical (self first, then
     strictly increasing distance or equal distance with increasing index) is
     copied as is; only rows with ties or duplicate points go through
-    knn_query's per-point path.
+    _query_one.
     """
     n = cloud.n_points
     if not 1 <= k <= n - 1:

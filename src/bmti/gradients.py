@@ -58,7 +58,7 @@ def compute_gradient_field(
 
     the sample covariance of the shifts over k_i - 1 with a Bessel-style
     factor for the estimated mean; it needs k_i >= 4. The sums run over the
-    graph's flat edge list (edges are grouped by source point).
+    rows of the graph's CSR edge list.
     """
     if not np.isfinite(d) or d <= 0:
         raise ParameterError(f"intrinsic dimension must be positive, got {d}")
@@ -71,7 +71,7 @@ def compute_gradient_field(
     if np.any(radii <= 0.0):
         raise DataError("zero neighbourhood radius in graph")
     m = (graph.k - 1).astype(np.float64)
-    starts = np.concatenate([[0], np.cumsum(graph.k - 1)])
+    starts = graph.indptr
     shift = np.empty((n, dim))
     scatter = np.empty((n, dim, dim))
     # Points in batches, so the per-edge outer products stay small.
@@ -80,7 +80,7 @@ def compute_gradient_field(
     def point_batch(a: int) -> None:
         b = min(a + chunk, n)
         lo, hi = starts[a], starts[b]
-        src = graph.edge_src[lo:hi]
+        src = np.repeat(np.arange(a, b), np.diff(starts[a : b + 1]))
         y = pts[graph.edge_dst[lo:hi]] - pts[src]
         heads = starts[a:b] - lo
         shift[a:b] = np.add.reduceat(y, heads, axis=0) / m[a:b, None]

@@ -3,10 +3,10 @@
 Each point i gets a neighbourhood Omega_i consisting of the point itself plus
 its k[i]-1 nearest neighbours; k[i] grows from k_min until a likelihood-ratio
 test says the local density stops being constant. The graph is one CSR
-edge list (edge_src, edge_dst, rows in point order; row i lists Omega_i
-without i). The edge kernel (delta_f.build_delta_f_edges) intersects
-these rows for the points two neighbourhoods share. select_adaptive_k
-reads the run's kNN table (geometry.knn_query_all), which may start
+edge list, the row starts indptr that k fixes and edge_dst, with no source
+array per edge; row i lists Omega_i without i. The edge kernel
+(delta_f.build_delta_f_edges) intersects these rows for the points two
+neighbourhoods share. select_adaptive_k reads the run's kNN table (geometry.knn_query_all), which may start
 narrower than the adaptive-k cap and is ragged past the start: a row is
 queried again, its new columns appended to one flat store, only when the
 test is about to read past the row's width. A row still growing at the
@@ -45,15 +45,15 @@ class NeighborGraph:
         Neighbourhood sizes counting the centre, so k[i]-1 neighbours listed.
     radii : ndarray, shape (n,)
         Distance from i to its outermost listed neighbour.
-    edge_src, edge_dst : ndarray, shape (E,)
+    indptr, edge_dst : ndarray, shapes (n + 1,) and (E,)
         All directed edges (i -> j for the k[i]-1 nearest neighbours j of
-        i), in point order then neighbour order, nearest first: a CSR edge
-        list whose row i starts at sum(k[:i] - 1).
+        i) as a CSR edge list: row i, edge_dst[indptr[i]:indptr[i + 1]],
+        lists them nearest first, and indptr is [0, cumsum(k - 1)].
     """
 
     k: np.ndarray
     radii: np.ndarray
-    edge_src: np.ndarray
+    indptr: np.ndarray
     edge_dst: np.ndarray
 
     @property
@@ -62,7 +62,14 @@ class NeighborGraph:
 
     @property
     def n_edges(self) -> int:
-        return self.edge_src.shape[0]
+        return self.edge_dst.shape[0]
+
+
+def _row_starts(k: np.ndarray) -> np.ndarray:
+    """indptr of rows of k - 1 entries each: [0, cumsum(k - 1)]."""
+    indptr = np.zeros(k.shape[0] + 1, dtype=np.int64)
+    np.cumsum(k - 1, out=indptr[1:])
+    return indptr
 
 
 def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
@@ -206,7 +213,7 @@ def select_adaptive_k(
     # last column of those past the first reach[m + 2].
     counts = k_arr - 1
     by_len = np.argsort(-counts, kind="stable")
-    starts = (np.cumsum(counts) - counts)[by_len]
+    starts = _row_starts(k_arr)[by_len]
     reach = np.cumsum(np.bincount(counts, minlength=cap + 1)[::-1])[::-1]
     edge_dst = np.empty(int(counts.sum()), dtype=np.int64)
     radii = np.empty(n)
@@ -235,10 +242,10 @@ def build_neighbor_graph(
     if np.any(k < 2) or np.any(k > n - 1):
         raise ParameterError("every k[i] must lie in [2, n-1]")
 
-    counts = k - 1
+    indptr = _row_starts(k)
     edge_dst = np.asarray(edge_dst, dtype=np.int64)
     radii = np.asarray(radii, dtype=np.float64)
-    if edge_dst.shape != (int(counts.sum()),) or radii.shape != (n,):
+    if edge_dst.shape != (int(indptr[-1]),) or radii.shape != (n,):
         raise ParameterError(
             f"edge list of shape {edge_dst.shape} and radii of shape "
             f"{radii.shape} do not cover {n} points with k - 1 neighbours each"
@@ -247,9 +254,6 @@ def build_neighbor_graph(
         raise ParameterError(f"edge_dst must hold point indices in [0, {n})")
     if np.any(radii == 0.0):
         raise DataError("zero neighbourhood radius: duplicate points")
-    edge_src = np.repeat(np.arange(n, dtype=np.int64), counts)
-    if np.any(edge_src == edge_dst):
+    if np.any(np.repeat(np.arange(n), k - 1) == edge_dst):
         raise ParameterError("a row of edge_dst lists its own point")
-    return NeighborGraph(
-        k=k.copy(), radii=radii, edge_src=edge_src, edge_dst=edge_dst
-    )
+    return NeighborGraph(k=k.copy(), radii=radii, indptr=indptr, edge_dst=edge_dst)

@@ -9,7 +9,8 @@ neighbours at twice the start width first). Adaptive k hands the graph its
 rows as one CSR edge list, and the start table is freed before the graph
 is built. The edge kernel intersects the graph's rows itself, once per
 unordered pair of points. The Laplacian system is assembled once and
-solved once, by solve_bmti at any alpha. BmtiConfig checks every field
+solved once, by solve_bmti at any alpha; the pointwise anchor is made only
+below alpha = 1, where the solve reads it. BmtiConfig checks every field
 when it is made, so a bad setting fails before any stage runs.
 """
 
@@ -154,9 +155,11 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
 
     system = assemble_system(edges)
+    # The pure solve (alpha = 1) does not read the anchor.
+    anchor = knn_anchor(graph, cloud, d) if cfg.alpha < 1.0 else None
     estimate = solve_bmti(
         system, tol=cfg.cg_tol, max_iter=cfg.cg_max_iter,
-        alpha=cfg.alpha, anchor=knn_anchor(graph, cloud, d),
+        alpha=cfg.alpha, anchor=anchor,
     )
     if cfg.uncertainties:
         estimate.var_F = estimate_uncertainties(system)

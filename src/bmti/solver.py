@@ -10,12 +10,14 @@ pointwise kNN likelihood (knn_anchor), which makes the system positive
 definite. solve_bmti is the one solver, at every alpha, of the one assembled
 system, and the one place that warns when the graph has several components.
 
-assemble_system writes the edge list straight into the CSR arrays of H,
-with -w at each edge and deg/2 first in each row, and builds A with one
+assemble_system reads the edge set's CSR edge list, in row order by
+construction, and writes it straight into the CSR arrays of H: deg/2
+first in each row, then -w at each of the row's edges. It builds A with one
 sparse sum, A = H + H^T = diag(deg) - (W + W^T) for W the weights, taken a
 block of rows at a time so that no buffer larger than A outlives a block.
-deg and b are summed by np.bincount, and the component labels, the only
-ones a run computes, come from A's pattern. The CG loop updates its
+deg and b are summed by np.bincount over the edge sources, made from the
+row starts and freed once summed; the component labels, the only ones a
+run computes, come from A's pattern. The CG loop updates its
 iterates in place and takes its dot products with np.einsum, not BLAS,
 whose threads slow it severalfold when another process keeps a core busy.
 """
@@ -76,32 +78,29 @@ _SUM_ENTRIES = 1 << 15
 
 
 def _half_laplacian(
-    n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray, deg: np.ndarray
+    indptr: np.ndarray, dst: np.ndarray, w: np.ndarray, deg: np.ndarray
 ) -> sp.csr_matrix:
-    """H with H + H^T = diag(deg) - (W + W^T), W holding w[e] at (src[e],
-    dst[e]): deg/2 first in each row, then -w at each of the row's edges in
-    their order, written straight into CSR arrays. Duplicate edges stay
-    separate entries, which the sum reads as their sum."""
-    if np.any(src[1:] < src[:-1]):
-        # Not a CSR edge list: rows in point order, each keeping the order
-        # of its edges.
-        order = np.argsort(src, kind="stable")
-        w, dst = w[order], dst[order]
-    counts = np.bincount(src, minlength=n) + 1
-    itype = np.int32 if counts.sum() <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(counts, out=indptr[1:])
-    diag = indptr[:-1]
-    off = np.ones(int(indptr[-1]), dtype=bool)
+    """H with H + H^T = diag(deg) - (W + W^T), W holding w[e] at edge e of
+    the CSR edge list (indptr, dst): deg/2 first in each row, then -w at
+    each of the row's edges in their order, written straight into CSR
+    arrays. Duplicate edges stay separate entries, which the sum reads as
+    their sum."""
+    n = indptr.shape[0] - 1
+    size = int(indptr[-1]) + n
+    itype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    # Each row gains its diagonal entry in front.
+    h_ptr = (indptr + np.arange(n + 1)).astype(itype)
+    diag = h_ptr[:-1]
+    off = np.ones(size, dtype=bool)
     off[diag] = False
-    data = np.empty(off.size)
+    data = np.empty(size)
     data[diag] = -0.5 * deg
     data[off] = w
     np.negative(data, out=data)
-    indices = np.empty(off.size, dtype=itype)
+    indices = np.empty(size, dtype=itype)
     indices[diag] = np.arange(n)
     indices[off] = dst
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return sp.csr_matrix((data, indices, h_ptr), shape=(n, n))
 
 
 def _row_block(M: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
@@ -126,8 +125,8 @@ def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
     deg = np.bincount(src, w, minlength=n) + np.bincount(dst, w, minlength=n)
     wv = w * edges.delta_f
     b = np.bincount(dst, wv, minlength=n) - np.bincount(src, wv, minlength=n)
-    del wv
-    H = _half_laplacian(n, src, dst, w, deg)
+    del wv, src
+    H = _half_laplacian(edges.indptr, dst, w, deg)
     del w
     Ht = H.T.tocsr()
 

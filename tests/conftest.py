@@ -77,16 +77,19 @@ def neighbor_graph(cloud: PointCloud, k):
 
 
 def edge_set(src, dst, delta_f, eps2, n: int) -> DeltaFEdgeSet:
-    """A hand-made edge set for the solver over n points: zero gradient
+    """A hand-made edge set for the solver over n points: the edges sorted
+    stably into rows (each row keeps its edges' order), zero gradient
     covariances, so no directional spread, and no correlation."""
     src = np.asarray(src, dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return DeltaFEdgeSet(
-        src=src,
-        dst=np.asarray(dst, dtype=np.int64),
-        delta_f=np.asarray(delta_f, dtype=np.float64),
-        eps2=np.asarray(eps2, dtype=np.float64),
+        indptr=indptr,
+        dst=np.asarray(dst, dtype=np.int64)[order],
+        delta_f=np.asarray(delta_f, dtype=np.float64)[order],
+        eps2=np.asarray(eps2, dtype=np.float64)[order],
         pearson=np.zeros(src.shape[0]),
-        n_points=n,
         var_g=np.zeros((n, 1, 1)),
         points=np.zeros((n, 1)),
     )

@@ -1,10 +1,12 @@
 """Scalar references for the vectorized stage kernels, the sampler and the
 file writers.
 
-Each function computes, for one point or one edge, straight from the
-definitions and the neighbour lists (neighbors), an entry of what
+knn_query answers the kNN query for one point, as knn_query_all does for
+many. Each function below computes, for one point or one edge, straight
+from the definitions and the neighbour lists (neighbors), an entry of what
 build_neighbor_graph, compute_gradient_field or build_delta_f_edges compute
-for all of them at once; laplacian_system adds up the solver's matrix one
+for all of them at once (edge_src lists each edge's source, which the graph
+keeps only as row starts); laplacian_system adds up the solver's matrix one
 edge at a time, and component_labels joins the solver's components one edge
 at a time; dump_edges_rows writes `bmti estimate --dump-edges` and
 parity_export_rows writes evaluation.parity_export one csv row at a time.
@@ -22,6 +24,7 @@ import gc
 import math
 import sys
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,13 +41,45 @@ from bmti.datasets import (
 )
 from bmti.delta_f import _QFORM_RTOL, EPS2_MIN
 from bmti.exceptions import DataError, ParameterError
-from bmti.geometry import PointCloud
+from bmti.geometry import PointCloud, _query_one
 from bmti.gradients import GradientField
 from bmti.neighborhoods import NeighborGraph
 from bmti.pipeline import run_bmti
 
 
+# Nearest neighbours of one point.
+
+
+@dataclass(frozen=True)
+class NeighborQueryResult:
+    """Neighbours of one query point, nearest first, the point itself excluded."""
+
+    indices: np.ndarray
+    distances: np.ndarray
+
+
+def knn_query(cloud: PointCloud, i: int, k: int) -> NeighborQueryResult:
+    """Exact k nearest neighbours of point i, self excluded.
+
+    Ties are broken by the lower point index. Raises ParameterError for k
+    outside [1, n-1] or i out of range.
+    """
+    n = cloud.n_points
+    if not 0 <= i < n:
+        raise ParameterError(f"point index {i} out of range for {n} points")
+    if not 1 <= k <= n - 1:
+        raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
+    idx, dist = _query_one(cloud, i, k)
+    return NeighborQueryResult(indices=idx, distances=dist)
+
+
 # Neighbourhood overlaps.
+
+
+def edge_src(graph: NeighborGraph) -> np.ndarray:
+    """The source of every edge of the graph's CSR edge list: i, k[i] - 1
+    times, in point order."""
+    return np.repeat(np.arange(graph.n_points), graph.k - 1)
 
 
 def neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
@@ -289,10 +324,11 @@ def dump_edges_rows(edges, path, float_fmt: str = "%.17g") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "delta_f", "eps2", "pearson"])
+        src = edges.src
         for a in range(edges.n_edges):
             writer.writerow(
                 [
-                    int(edges.src[a]),
+                    int(src[a]),
                     int(edges.dst[a]),
                     float_fmt % edges.delta_f[a],
                     float_fmt % edges.eps2[a],

@@ -19,7 +19,7 @@ from conftest import (
     record_criterion,
     twonn,
 )
-from oracles import jaccard_overlap, neighbors
+from oracles import edge_src, jaccard_overlap, neighbors
 
 from bmti.baselines import abramson_k, gkde_density, knn_density
 from bmti.datasets import generate_dataset, make_potential, sample_mcmc
@@ -392,9 +392,10 @@ def test_criterion_5_consistent_path_exactness():
         truth = coef[0] * pts[:, 0] + coef[1] * pts[:, 1] + coef[2] * (
             pts[:, 0] ** 2 + pts[:, 1] ** 2
         )
+        src = edge_src(graph)
         edges = edge_set(
-            graph.edge_src, graph.edge_dst,
-            truth[graph.edge_dst] - truth[graph.edge_src],
+            src, graph.edge_dst,
+            truth[graph.edge_dst] - truth[src],
             rng.uniform(0.1, 2.0, size=graph.n_edges), n,
         )
         system = assemble_system(edges)

@@ -11,6 +11,7 @@ from oracles import (
     delta_f_variance,
     directional_delta_f,
     edge_correlation,
+    edge_src,
     estimate_delta_f,
 )
 
@@ -163,8 +164,9 @@ def test_edge_set_matches_scalar_operations(rng, monkeypatch):
     # The spreads are read off the gradient field and the cloud, not copies.
     assert edges.var_g is field.var_g and edges.points is cloud.points
     sel = rng.integers(0, edges.n_edges, size=200)
+    src = edges.src
     for e in sel:
-        i, j = int(edges.src[e]), int(edges.dst[e])
+        i, j = int(src[e]), int(edges.dst[e])
         assert edges.delta_f[e] == pytest.approx(
             estimate_delta_f(field, cloud, i, j), rel=1e-12, abs=1e-14
         )
@@ -182,8 +184,9 @@ def test_edge_antisymmetry_over_mutual_pairs(rng):
     cloud, graph, field = pipeline_stages(rng, n=100, k=12)
     edges = build_delta_f_edges(graph, field, cloud)
     table = {}
+    src = edges.src
     for e in range(edges.n_edges):
-        table[(int(edges.src[e]), int(edges.dst[e]))] = edges.delta_f[e]
+        table[(int(src[e]), int(edges.dst[e]))] = edges.delta_f[e]
     mutual = 0
     for (i, j), v in table.items():
         if (j, i) in table:
@@ -203,12 +206,12 @@ def test_edge_model_matches_shared_set_oracle(rng, monkeypatch, dim):
         cloud, adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=20)
     )
     field = compute_gradient_field(graph, cloud, float(dim))
-    src, dst = graph.edge_src.tolist(), graph.edge_dst.tolist()
+    src, dst = edge_src(graph).tolist(), graph.edge_dst.tolist()
     # A pair is computed in the frame of its first edge: twins, and one-way
     # edges from the lower and from the higher index, all occur.
     listed = set(zip(src, dst))
     mutual = np.array([(j, i) in listed for i, j in zip(src, dst)])
-    high = graph.edge_src > graph.edge_dst
+    high = edge_src(graph) > graph.edge_dst
     assert np.any(mutual) and np.any(~mutual & ~high) and np.any(~mutual & high)
     want_p = np.array(
         [edge_correlation(graph, field, cloud, i, j) for i, j in zip(src, dst)]

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import traced
+from oracles import knn_query
 
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import (
     PointCloud,
     _canonical_order,
-    knn_query,
     knn_query_all,
     unit_ball_volume,
 )

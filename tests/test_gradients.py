@@ -23,11 +23,12 @@ from bmti.neighborhoods import NeighborGraph
 def manual_graph(k, rows, radii):
     """Graph stub for per-point unit cases: the edge list of the given
     neighbour lists."""
-    counts = [len(nb) for nb in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(nb) for nb in rows], out=indptr[1:])
     return NeighborGraph(
         k=np.asarray(k, dtype=np.int64),
         radii=np.asarray(radii, dtype=np.float64),
-        edge_src=np.repeat(np.arange(len(rows), dtype=np.int64), counts),
+        indptr=indptr,
         edge_dst=np.concatenate(rows).astype(np.int64),
     )
 

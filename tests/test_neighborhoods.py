@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import adaptive_k, neighbor_graph, table_rows, traced
-from oracles import component_labels, jaccard_overlap, neighbors, overlap_count
+from oracles import (
+    component_labels,
+    edge_src,
+    jaccard_overlap,
+    neighbors,
+    overlap_count,
+)
 
 from bmti import geometry
 from bmti.exceptions import DataError, ParameterError
@@ -234,7 +240,7 @@ def test_radii_match_listed_neighbours(rng):
 def test_components_single_blob(rng):
     cloud = PointCloud(points=rng.standard_normal((100, 2)))
     graph = neighbor_graph(cloud, np.full(100, 6))
-    labels = component_labels(100, graph.edge_src, graph.edge_dst)
+    labels = component_labels(100, edge_src(graph), graph.edge_dst)
     assert np.all(labels == 0)
 
 
@@ -243,7 +249,7 @@ def test_components_two_far_clusters(rng):
     b = rng.standard_normal((50, 2)) + 1000.0
     cloud = PointCloud(points=np.vstack([a, b]))
     graph = neighbor_graph(cloud, np.full(100, 6))
-    labels = component_labels(100, graph.edge_src, graph.edge_dst)
+    labels = component_labels(100, edge_src(graph), graph.edge_dst)
     assert len(np.unique(labels)) == 2
     assert len(np.unique(labels[:50])) == 1
     assert len(np.unique(labels[50:])) == 1

@@ -229,7 +229,7 @@ def test_results_independent_of_threads_and_batches(monkeypatch):
             assert np.array_equal(value, other[name]), (budget, chunk, workers, name)
 
 
-def test_whole_call_peak_under_112_bytes_per_edge(monkeypatch):
+def test_whole_call_peak_under_100_bytes_per_edge(monkeypatch):
     # On one thread, so that one batch of a stage kernel is alive at a time.
     monkeypatch.setattr(geometry, "_WORKERS", 1)
     cloud = generate_dataset("mb2d", n=2000, seed=0)
@@ -241,8 +241,25 @@ def test_whole_call_peak_under_112_bytes_per_edge(monkeypatch):
     assert set(peaks) == {*stages, "whole_call"}
     assert max(peaks[s] for s in stages) <= peaks["whole_call"]
     per_edge = peaks["whole_call"] / result.edges.n_edges
-    assert per_edge <= 112, {s: f"{p / 1e6:.1f} MB" for s, p in peaks.items()}
+    assert per_edge <= 100, {s: f"{p / 1e6:.1f} MB" for s, p in peaks.items()}
     np.testing.assert_array_equal(result.F, run_bmti(cloud).F)
+
+
+def test_rows_kept_once_as_row_starts():
+    # The graph and the edge set share one row layout, the n + 1 row starts;
+    # besides the edge ends, none of their integer arrays spans the edges.
+    cloud = generate_dataset("gauss2d", n=400, seed=1)
+    result = run_bmti(cloud)
+    graph, edges = result.graph, result.edges
+    edges.eps_src, edges.eps_dst  # cached on first read
+    for holder, ends in ((graph, "edge_dst"), (edges, "dst")):
+        for name, value in vars(holder).items():
+            if name != ends and isinstance(value, np.ndarray):
+                assert value.dtype.kind == "f" or value.size != graph.n_edges, name
+    assert edges.indptr is graph.indptr and edges.dst is graph.edge_dst
+    n = cloud.n_points
+    assert np.array_equal(edges.src, np.repeat(np.arange(n), graph.k - 1))
+    assert edges.n_points == n and edges.n_edges == graph.n_edges
 
 
 def test_disconnected_graph_warns_once_and_assembles_once(monkeypatch):
@@ -295,6 +312,25 @@ def test_one_assembly_and_one_solve_at_every_alpha(monkeypatch, alpha):
     result = run_bmti(cloud, BmtiConfig(alpha=alpha))
     assert calls == ["assemble_system", "solve_bmti"]
     assert result.estimate.alpha == alpha
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0])
+def test_anchor_made_only_below_alpha_one(monkeypatch, alpha):
+    anchors = []
+
+    def counted(*args):
+        anchors.append(args)
+        return solver.knn_anchor(*args)
+
+    monkeypatch.setattr(pipeline, "knn_anchor", counted)
+    cloud = generate_dataset("gauss2d", n=300, seed=2)
+    result = run_bmti(cloud, BmtiConfig(alpha=alpha))
+    assert len(anchors) == (1 if alpha < 1.0 else 0)
+    # The same F as the solve handed the anchor, at either alpha.
+    anchor = solver.knn_anchor(result.graph, cloud, result.d_used)
+    system = assemble_system(result.edges)
+    want = solve_bmti(system, alpha=alpha, anchor=anchor)
+    np.testing.assert_array_equal(result.F, want.F)
 
 
 def test_uncertainties_need_pure_integration():

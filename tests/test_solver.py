@@ -75,7 +75,8 @@ def test_row_sums_vanish(rng):
 
 
 def subset(edges, sel, n=None):
-    """The edges at positions sel, in that order, on n points."""
+    """The edges at positions sel on n points, sorted into rows, each row
+    keeping their order in sel."""
     return edge_set(
         edges.src[sel], edges.dst[sel], edges.delta_f[sel], edges.eps2[sel],
         edges.n_points if n is None else n,
@@ -83,8 +84,9 @@ def subset(edges, sel, n=None):
 
 
 def assembly_case(rng, case):
-    """Edge sets in no row order: shuffled; every edge twice; two components
-    and a point without edges."""
+    """Edge sets whose rows list their edges in no particular order: shuffled
+    within each row; every edge twice in its row, the two copies separate
+    entries; two components and a point without edges."""
     base = random_instance(rng, 30)
     perm = rng.permutation(base.n_edges)
     if case == "shuffled":
