@@ -10,16 +10,19 @@ coincident neighbourhoods and turns negative when the shared lens is thin,
 since a point in the lens pulls each mean toward the other end. One kernel
 intersects the rows and evaluates the error model once per unordered pair
 of points; the edge in the other direction takes the same error model and
-the opposite difference. Besides the graph's own CSR edge list, only the
-difference, its variance and the correlation span every edge; the edge
-sources and the two directional spreads are computed again when read
-(DeltaFEdgeSet.src, eps_src, eps_dst). pull_statistics
-summarizes standardized residuals against a truth; calibration_report
-applies it to the edges.
+the opposite difference. The pairs go in edge order, so that the sources of
+a batch are a run of points: row i is marked in a bitmap that each worker
+thread reuses, and every point of row j is looked up in it. Besides the
+graph's own CSR edge list, only the difference, its variance and the
+correlation span every edge; the edge sources and the two directional
+spreads are computed again when read (DeltaFEdgeSet.src, eps_src,
+eps_dst). pull_statistics summarizes standardized residuals against a
+truth; calibration_report applies it to the edges.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,6 +130,63 @@ def _qform(r: np.ndarray, var_g: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.einsum("ec,ec->e", np.einsum("ecd,ed->ec", var_g[ends], r), r)
 
 
+def _shared_points(
+    member: sp.csr_matrix,
+    i_b: np.ndarray,
+    j_b: np.ndarray,
+    window: int,
+    bitmap: np.ndarray,
+) -> sp.csr_matrix:
+    """Rows i_b[p] and j_b[p] of member intersected, row p of a CSR matrix.
+
+    i_b is non-decreasing, so the sources are a run of points, taken window
+    points at a time: the rows of a window's sources are marked in bitmap,
+    slot (i - i_b[0]) % window of n entries for source i; every candidate of
+    the rows j_b of that window's pairs is looked up there with one take;
+    and the marks are cleared again, so bitmap (window * n entries, all
+    False) is reusable. The hits keep the sorted order of member's rows,
+    with int8 ones as data: entry for entry the product of the two rows.
+    """
+    n = member.shape[1]
+    first, last = int(i_b[0]), int(i_b[-1]) + 1
+
+    def positions(sources, counts, cols):
+        """Bitmap positions of the entries cols of rows of the sources, the
+        given counts of entries each."""
+        at = np.repeat(((sources - first) % window * n).astype(cols.dtype), counts)
+        at += cols
+        return at
+
+    cand = member[j_b]
+    key = positions(i_b, np.diff(cand.indptr), cand.indices)
+    own = member.indptr[first : last + 1]
+    mark = positions(
+        np.arange(first, last), np.diff(own), member.indices[own[0] : own[-1]]
+    )
+    bounds = np.append(np.arange(first, last, window), last)
+    at_key = cand.indptr[np.searchsorted(i_b, bounds)]
+    at_mark = member.indptr[bounds] - own[0]
+    hit = np.empty(key.shape[0], dtype=bool)
+    for w in range(bounds.shape[0] - 1):
+        marks = mark[at_mark[w] : at_mark[w + 1]]
+        bitmap[marks] = True
+        lo, hi = at_key[w], at_key[w + 1]
+        # Every key is in range; "clip" spares take a buffered copy.
+        np.take(bitmap, key[lo:hi], out=hit[lo:hi], mode="clip")
+        bitmap[marks] = False
+    del key, mark
+    found = np.flatnonzero(hit)
+    indices = cand.indices[found]
+    return sp.csr_matrix(
+        (
+            np.ones(indices.shape[0], dtype=np.int8),
+            indices,
+            np.searchsorted(found, cand.indptr).astype(cand.indices.dtype),
+        ),
+        shape=(i_b.shape[0], n),
+    )
+
+
 def build_delta_f_edges(
     graph: NeighborGraph,
     gradients: GradientField,
@@ -155,14 +215,19 @@ def build_delta_f_edges(
     by batch, so only delta_f, eps2 and pearson span every edge; the
     directional spreads eps_i and eps_j stay in the batch, and the edge set
     computes them again when they are read. A pair is computed for its
-    first edge in a stable sort of the pair codes: the edge from the lower
-    index when both directions are edges, else the pair's one edge, each in
-    its own frame. The edge in the other direction, r' = -r with the ends
-    swapped, gets -delta_f and the same eps2 and pearson. A graph whose row
-    lists one neighbour twice raises ParameterError. Quadratic forms
-    negative by roundoff are clamped to 0; a form below -_QFORM_RTOL times
-    the largest |form| (at least 1) raises DataError once every batch has
-    run.
+    representative edge, the edge from the lower index when both directions
+    are edges, else the pair's one edge, each in its own frame; the edge in
+    the other direction, r' = -r with the ends swapped, gets -delta_f and
+    the same eps2 and pearson. Batches take the representatives in edge
+    order, so the sources of a batch are a run of points. S is found by
+    marking rows i, a window of max(1, _BATCH_ENTRIES // n) sources at a
+    time, in a bitmap of n entries per source that each worker thread
+    reuses and clears, and looking up every point of rows j there with one
+    take (_shared_points); the hits are the product of the two rows, entry
+    for entry. A graph whose row lists one neighbour twice raises
+    ParameterError. Quadratic forms negative by roundoff are clamped to 0; a
+    form below -_QFORM_RTOL times the largest |form| (at least 1) raises
+    DataError once every batch has run.
     """
     if eps2_min <= 0.0:
         raise ParameterError("eps2_min must be positive")
@@ -176,41 +241,55 @@ def build_delta_f_edges(
     # n and E allow.
     itype = np.int32 if max(n, n_e) <= np.iinfo(np.int32).max else np.int64
 
-    # Rows run in point order, so a stable sort of the pair codes lo n + hi
-    # puts the edge from lo of a mutual pair first (its representative) and
-    # the edge from hi second (its twin); a one-way pair's one edge is its
-    # representative. A longer run, or a pair's two edges from one source,
-    # is a row listing a neighbour twice. A batch finds sources in indptr.
+    # Pair codes lo n + hi with the direction as a last bit, 0 for the edge
+    # from lo: unique unless a row lists a neighbour twice, so that sorting
+    # them puts the edge from lo of a mutual pair first (its representative)
+    # and the edge from hi second (its twin); a one-way pair's one edge is
+    # its representative. The representatives are then taken in edge order,
+    # so that the sources of a batch are a run of points; a batch finds them
+    # in indptr.
     src = np.repeat(np.arange(n), np.diff(indptr))
-    codes = np.minimum(src, dst) * n + np.maximum(src, dst)
-    order = np.argsort(codes, kind="stable")
+    codes = 2 * (np.minimum(src, dst) * n + np.maximum(src, dst)) + (src > dst)
+    order = np.argsort(codes)
     codes = codes[order]
-    head = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))
-    del codes
-    run = np.diff(head, append=n_e)
-    mutual = run == 2
-    rep = order[head].astype(itype)
-    twin = np.full(rep.shape[0], -1, dtype=itype)
-    twin[mutual] = order[head[mutual] + 1]
-    del order, head
-    if np.any(run > 2) or np.any(src[twin[mutual]] == src[rep[mutual]]):
+    if np.any(codes[1:] == codes[:-1]):
         raise ParameterError("a row of the graph lists one neighbour twice")
-    del src
+    codes >>= 1
+    mutual = np.flatnonzero(codes[1:] == codes[:-1])
+    del codes
+    # Per edge: its twin for a representative of a mutual pair, -1 for one
+    # of a one-way pair, -2 for a twin.
+    twin = np.full(n_e, -1, dtype=itype)
+    twin[order[mutual]] = order[mutual + 1]
+    twin[order[mutual + 1]] = -2
+    del order, mutual
+    rep = np.flatnonzero(twin != -2).astype(itype)
+    twin = twin[rep]
 
-    # The graph's rows as an int8 matrix, so that the row intersections move
-    # less data: row i is Omega_i without i, so rows i and j intersect in
-    # exactly the points shared besides i and j. Its indices are a copy that
-    # sum_duplicates sorts (edge_dst keeps neighbour order), canonical before
-    # the batches read it from several threads.
+    # The graph's rows as an int8 matrix with sorted rows, so that the
+    # intersections keep one order: row i is Omega_i without i, so rows i
+    # and j intersect in exactly the points shared besides i and j. Rows run
+    # in point order, so sorting the codes i n + j of all the edges sorts
+    # each row in place. No row lists a neighbour twice (checked above), so
+    # the matrix is canonical before the batches read it from several
+    # threads.
+    cols = src * n + dst
+    cols.sort()
+    cols -= src * n
+    del src
     member = sp.csr_matrix(
-        (np.ones(n_e, dtype=np.int8), dst.astype(itype), indptr.astype(itype)),
+        (np.ones(n_e, dtype=np.int8), cols.astype(itype), indptr.astype(itype)),
         shape=(n, n),
     )
-    member.sum_duplicates()
+    member.has_canonical_format = True
+    del cols
+
     # Coordinates centred on the cloud mean and their pairwise products:
     # summed over S and projected on r, they give the moments of a.
     centred = pts - pts.mean(axis=0)
     tri_a, tri_b = np.triu_indices(dim)
+    # Off-diagonal products stand for two terms of the quadratic form.
+    tri_weight = np.where(tri_a == tri_b, 1.0, 2.0)[:, None]
     features = np.concatenate(
         [centred, centred[:, tri_a] * centred[:, tri_b]], axis=1
     )
@@ -226,6 +305,11 @@ def build_delta_f_edges(
     batch = max(1, geometry._BATCH_ENTRIES // per_pair)
     # Per batch, the least quadratic form and the largest |form|.
     qform_range = np.empty((len(range(0, n_pairs, batch)), 2))
+    # The sources of a window of this many points have their rows marked in
+    # one bitmap of about _BATCH_ENTRIES bytes, a slot of n per source; each
+    # worker thread keeps its own and clears what it marked.
+    window = max(1, geometry._BATCH_ENTRIES // n)
+    bitmaps = threading.local()
 
     def pair_batch(s: int) -> None:
         e = min(s + batch, n_pairs)
@@ -247,13 +331,19 @@ def build_delta_f_edges(
         e_src = np.sqrt(q_src)
         e_dst = np.sqrt(q_dst)
 
-        shared = sp.csr_matrix(member[i_b].multiply(member[j_b]))
+        if not hasattr(bitmaps, "own"):
+            bitmaps.own = np.zeros(window * n, dtype=bool)
+        shared = _shared_points(member, i_b, j_b, window, bitmaps.own)
         count = np.diff(shared.indptr)
         sums = shared @ features
         p_r = np.einsum("ed,ed->e", sums[:, :dim], r)
-        q_rr = np.zeros(e - s)
-        for t, (a, b) in enumerate(zip(tri_a, tri_b)):
-            q_rr += (1.0 if a == b else 2.0) * sums[:, dim + t] * r[:, a] * r[:, b]
+        # One term per product, summed in term order from 0.
+        terms = np.empty((tri_a.shape[0], e - s))
+        np.multiply(tri_weight, sums[:, dim:].T, out=terms)
+        terms *= r[:, tri_a].T
+        terms *= r[:, tri_b].T
+        q_rr = np.add.reduce(terms, axis=0, initial=0.0)
+        del terms
         b_r = np.einsum("ed,ed->e", centred[i_b], r)
         m1 = p_r - count * b_r
         m2 = q_rr - 2.0 * b_r * p_r + count * b_r * b_r

@@ -210,7 +210,7 @@ def knn_query_all(
     out_idx = np.empty((n_rows, k), dtype=np.int64)
     out_dist = np.empty((n_rows, k), dtype=np.float64)
     m = min(k + 1 + _TIE_PAD, n)
-    chunk = max(1, _CHUNK_ENTRIES // m)
+    chunk = _chunk_rows(k, n)
     for lo in range(0, n_rows, chunk):
         hi = min(lo + chunk, n_rows)
         sel = rows[lo:hi]
@@ -238,6 +238,12 @@ def knn_query_all(
         # add to.
         del cand, dist, c, d
     return out_idx, out_dist
+
+
+def _chunk_rows(k: int, n: int) -> int:
+    """Rows of one chunk of a knn_query_all call at k columns on n points:
+    _CHUNK_ENTRIES over the candidates the tree fetches per row."""
+    return max(1, _CHUNK_ENTRIES // min(k + 1 + _TIE_PAD, n))
 
 
 def _run_batches(fn, total: int, batch: int) -> None:

@@ -156,20 +156,32 @@ def select_adaptive_k(
     used = 0
 
     def widen(rows: np.ndarray, w: int) -> None:
-        """Query rows at w columns and append their columns past the start."""
+        """Query rows at w columns and append their columns past the start,
+        half a query chunk of rows (about _CHUNK_ENTRIES // 2w) at a time,
+        so that no query's whole output is held next to its copy in the
+        store, and a slice's output and workspace stay below the store's
+        size."""
         nonlocal store_idx, store_dist, used
         if rows.size == 0:
             return
-        new_idx, new_dist = geometry.knn_query_all(cloud, w, rows)
         size = rows.size * (w - start)
         if used + size > store_idx.size:
-            # Doubled, so that appending stays linear in the entries stored.
-            grown = max(2 * store_idx.size, used + size)
+            # Grown by a quarter at least, so that appending stays linear in
+            # the entries stored, while the old and the new store, both alive
+            # for the copy, stay close to the size of the new one.
+            grown = max(store_idx.size + store_idx.size // 4, used + size)
             store_idx = _resized(store_idx, used, grown)
             store_dist = _resized(store_dist, used, grown)
         shape = (rows.size, w - start)
-        store_idx[used : used + size].reshape(shape)[...] = new_idx[:, start:]
-        store_dist[used : used + size].reshape(shape)[...] = new_dist[:, start:]
+        to_idx = store_idx[used : used + size].reshape(shape)
+        to_dist = store_dist[used : used + size].reshape(shape)
+        step = max(1, geometry._chunk_rows(w, n) // 2)
+        for lo in range(0, rows.size, step):
+            new_idx, new_dist = geometry.knn_query_all(cloud, w, rows[lo : lo + step])
+            to_idx[lo : lo + step] = new_idx[:, start:]
+            to_dist[lo : lo + step] = new_dist[:, start:]
+            # Freed before the next slice's query.
+            del new_idx, new_dist
         offset[rows] = used + np.arange(rows.size) * (w - start)
         width[rows] = w
         used += size

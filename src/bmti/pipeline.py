@@ -8,7 +8,8 @@ reads past that width (the ones still growing at the cap, the newest
 neighbours at twice the start width first). Adaptive k hands the graph its
 rows as one CSR edge list, and the start table is freed before the graph
 is built. The edge kernel intersects the graph's rows itself, once per
-unordered pair of points. The Laplacian system is assembled once and
+unordered pair of points, by looking up the points of one row in a bitmap
+of the other's. The Laplacian system is assembled once and
 solved once, by solve_bmti at any alpha; the pointwise anchor is made only
 below alpha = 1, where the solve reads it. BmtiConfig checks every field
 when it is made, so a bad setting fails before any stage runs.

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from conftest import adaptive_k, neighbor_graph
+from conftest import adaptive_k, neighbor_graph, traced
 from oracles import (
     delta_f_variance,
     directional_delta_f,
@@ -135,9 +135,26 @@ def test_variance_guards():
 
 
 def edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
-    """The edge set at the default batch budget, then in batches of a few
-    edges on four threads, so that batch boundaries fall inside the graph;
-    the directional spreads of each are read at the budget it was built at."""
+    """The edge set at the default batch budget, then at two small budgets
+    on 1, 4 and 8 threads, so that batch boundaries fall inside the graph;
+    the directional spreads of each are read at the budget it was built at.
+
+    The kernel's bitmap window holds max(1, budget // n) sources. At 64
+    entries (below n) a window holds a single source point; at 3 n entries
+    it holds three, and some batch (of budget // per_pair pairs, taken in
+    edge order) spans several windows.
+    """
+    n, dim = graph.n_points, cloud.embed_dim
+    per_pair = max(int(graph.k.max()), dim * (dim + 3) // 2, dim * dim)
+    # The sources of the pairs in edge order: every edge but the one from
+    # the higher index of a mutual pair.
+    src, dst = edge_src(graph).tolist(), graph.edge_dst.tolist()
+    listed = set(zip(src, dst))
+    pair_src = np.array([i for i, j in zip(src, dst) if i < j or (j, i) not in listed])
+    batch = 3 * n // per_pair
+    assert 64 < n and any(
+        np.ptp(pair_src[s : s + batch]) >= 3 for s in range(0, pair_src.size, batch)
+    )
 
     def built():
         edges = build_delta_f_edges(graph, field, cloud)
@@ -145,10 +162,12 @@ def edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
         return edges
 
     sets = [built()]
-    with monkeypatch.context() as patch:
-        patch.setattr(geometry, "_BATCH_ENTRIES", 64)
-        patch.setattr(geometry, "_WORKERS", 4)
-        sets.append(built())
+    for budget in (64, 3 * n):
+        for workers in (1, 4, 8):
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_BATCH_ENTRIES", budget)
+                patch.setattr(geometry, "_WORKERS", workers)
+                sets.append(built())
     return sets
 
 
@@ -349,6 +368,19 @@ def test_edge_builder_rejects_bad_floor(rng):
     cloud, graph, field = pipeline_stages(rng, n=40, k=5)
     with pytest.raises(ParameterError):
         build_delta_f_edges(graph, field, cloud, eps2_min=0.0)
+
+
+def test_edge_kernel_allocates_under_185_bytes_per_edge(rng, monkeypatch):
+    # On one thread, so that one batch is alive at a time, and on a cloud
+    # whose n is large next to its k: a bitmap that grew with n (a slot of
+    # n per source of a whole batch, say) would not fit the bound. Measured
+    # at 162 bytes per edge, most of it one batch's temporaries (k = 6 makes
+    # batches of 87381 pairs).
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    cloud, graph, field = pipeline_stages(rng, n=40000, k=6)
+    edges, peak, _ = traced(lambda: build_delta_f_edges(graph, field, cloud))
+    assert edges.n_edges == graph.n_edges
+    assert peak <= 185 * edges.n_edges, f"{peak / edges.n_edges:.1f} bytes per edge"
 
 
 def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
