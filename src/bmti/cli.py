@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .baselines import gkde_density, knn_baseline
-from .datasets import generate_dataset
+from .datasets import DATASET_DEFAULTS, generate_dataset
 from .evaluation import align_and_mae, run_benchmark, write_csv_columns
 from .exceptions import BmtiError, DataError, ParameterError
 from .geometry import PointCloud
@@ -215,10 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="sample a benchmark dataset to CSV")
-    g.add_argument(
-        "--dataset", required=True,
-        choices=["gauss2d", "mb2d", "sixd", "glassy2d", "mb2d-20d", "glassy2d-20d"],
-    )
+    g.add_argument("--dataset", required=True, choices=list(DATASET_DEFAULTS))
     g.add_argument("--beta", type=float, default=None,
                    help="inverse temperature (dataset default when omitted)")
     g.add_argument("--n", type=int, default=None,

@@ -144,8 +144,8 @@ def _shared_points(
     slot (i - i_b[0]) % window of n entries for source i; every candidate of
     the rows j_b of that window's pairs is looked up there with one take;
     and the marks are cleared again, so bitmap (window * n entries, all
-    False) is reusable. The hits keep the sorted order of member's rows,
-    with int8 ones as data: entry for entry the product of the two rows.
+    False) is reusable. No order within a row is needed: the hits follow
+    the order of row j_b[p], with int8 ones as data.
     """
     n = member.shape[1]
     first, last = int(i_b[0]), int(i_b[-1]) + 1
@@ -223,14 +223,15 @@ def build_delta_f_edges(
     marking rows i, a window of max(1, _BATCH_ENTRIES // n) sources at a
     time, in a bitmap of n entries per source that each worker thread
     reuses and clears, and looking up every point of rows j there with one
-    take (_shared_points); the hits are the product of the two rows, entry
-    for entry. A graph whose row lists one neighbour twice raises
-    ParameterError. Quadratic forms negative by roundoff are clamped to 0; a
-    form below -_QFORM_RTOL times the largest |form| (at least 1) raises
-    DataError once every batch has run.
+    take (_shared_points). The rows are the graph's own, in the order they
+    list their neighbours, so nothing sorts the edge list; the shared points
+    are summed in the order of row j. A graph whose row lists one neighbour
+    twice raises ParameterError. Quadratic forms negative by roundoff are
+    clamped to 0; a form below -_QFORM_RTOL times the largest |form| (at
+    least 1) raises DataError once every batch has run.
     """
-    if eps2_min <= 0.0:
-        raise ParameterError("eps2_min must be positive")
+    if not 0.0 < eps2_min < np.inf:
+        raise ParameterError(f"eps2_min must be positive and finite, got {eps2_min}")
     indptr, dst = graph.indptr, graph.edge_dst
     n, n_e = graph.n_points, dst.shape[0]
     pts = cloud.points
@@ -250,6 +251,7 @@ def build_delta_f_edges(
     # in indptr.
     src = np.repeat(np.arange(n), np.diff(indptr))
     codes = 2 * (np.minimum(src, dst) * n + np.maximum(src, dst)) + (src > dst)
+    del src
     order = np.argsort(codes)
     codes = codes[order]
     if np.any(codes[1:] == codes[:-1]):
@@ -266,23 +268,11 @@ def build_delta_f_edges(
     rep = np.flatnonzero(twin != -2).astype(itype)
     twin = twin[rep]
 
-    # The graph's rows as an int8 matrix with sorted rows, so that the
-    # intersections keep one order: row i is Omega_i without i, so rows i
-    # and j intersect in exactly the points shared besides i and j. Rows run
-    # in point order, so sorting the codes i n + j of all the edges sorts
-    # each row in place. No row lists a neighbour twice (checked above), so
-    # the matrix is canonical before the batches read it from several
-    # threads.
-    cols = src * n + dst
-    cols.sort()
-    cols -= src * n
-    del src
-    member = sp.csr_matrix(
-        (np.ones(n_e, dtype=np.int8), cols.astype(itype), indptr.astype(itype)),
-        shape=(n, n),
-    )
-    member.has_canonical_format = True
-    del cols
+    # The graph's rows as an int8 matrix, each in neighbour order: row i is
+    # Omega_i without i, so rows i and j intersect in exactly the points
+    # shared besides i and j. Its rows are not sorted; the batches, on
+    # several threads, only read it.
+    member = sp.csr_matrix((np.ones(n_e, dtype=np.int8), dst, indptr), shape=(n, n))
 
     # Coordinates centred on the cloud mean and their pairwise products:
     # summed over S and projected on r, they give the moments of a.
@@ -300,8 +290,9 @@ def build_delta_f_edges(
 
     n_pairs = rep.shape[0]
     # A batch gathers a row of the membership matrix, a row of features and
-    # a D x D covariance per pair.
-    per_pair = max(int(k.max()), features.shape[1], dim * dim)
+    # a D x D covariance per pair, and holds about thirty arrays of one
+    # entry per pair, which bound its size where k and D are small.
+    per_pair = max(int(k.max()), features.shape[1], dim * dim, 32)
     batch = max(1, geometry._BATCH_ENTRIES // per_pair)
     # Per batch, the least quadratic form and the largest |form|.
     qform_range = np.empty((len(range(0, n_pairs, batch)), 2))

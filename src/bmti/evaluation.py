@@ -20,7 +20,8 @@ from .datasets import DATASET_DEFAULTS, generate_dataset
 from .delta_f import calibration_report
 from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
-from .pipeline import BmtiConfig, _integer, run_bmti
+from .pipeline import BmtiConfig, run_bmti
+from .solver import _integer
 
 SCHEMA_VERSION = 1
 METHODS = ("bmti", "knn", "gkde")

@@ -18,7 +18,6 @@ when it is made, so a bad setting fails before any stage runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .neighborhoods import (
 )
 from .solver import (
     LogDensityEstimate,
+    _integer,
     assemble_system,
     estimate_uncertainties,
     knn_anchor,
@@ -48,11 +48,6 @@ from .solver import (
 # the rows it reads further. On sixd n=20000 a row needs a median of 52
 # columns.
 _START_WIDTH = 64
-
-
-def _integer(value) -> bool:
-    """Whether value is an integer, bool excluded."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,8 @@ class BmtiConfig:
             )
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 < self.cg_tol < np.inf:
-            raise ParameterError(f"cg_tol must be positive, got {self.cg_tol}")
+        if not 0.0 < self.cg_tol < 1.0:
+            raise ParameterError(f"cg_tol must be in (0, 1), got {self.cg_tol}")
         if self.cg_max_iter is not None and not (
             _integer(self.cg_max_iter) and self.cg_max_iter >= 1
         ):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +44,11 @@ from .geometry import PointCloud, unit_ball_volume
 from .neighborhoods import NeighborGraph
 
 UNCERTAINTY_CAP = 2000
+
+
+def _integer(value) -> bool:
+    """Whether value is an integer, bool excluded."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -253,13 +259,16 @@ def solve_bmti(
     gauge, and the anchor supplies absolute normalization across
     components; alpha = 0 returns F0 exactly.
 
-    Relative residual ||M F - rhs|| / ||rhs|| must reach tol within max_iter
-    (default 10 n) iterations.
+    Relative residual ||M F - rhs|| / ||rhs|| must reach tol, in (0, 1),
+    within max_iter (an integer >= 1, default 10 n) iterations.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    # The iteration starts at relative residual 1.
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"tol must be in (0, 1), got {tol}")
+    if max_iter is not None and not (_integer(max_iter) and max_iter >= 1):
+        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     n = system.n_points
     if max_iter is None:
         max_iter = 10 * n

@@ -15,6 +15,7 @@ from oracles import dump_edges_rows
 import bmti
 from bmti.baselines import knn_density
 from bmti.cli import main, read_cloud_csv
+from bmti.datasets import DATASET_DEFAULTS
 from bmti.pipeline import BmtiConfig, run_bmti
 
 
@@ -52,6 +53,15 @@ def test_generate_deterministic(tmp_path):
              "--out", str(path)]
         ) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_generate_accepts_every_dataset(tmp_path):
+    for name in DATASET_DEFAULTS:
+        path = tmp_path / f"{name}.csv"
+        assert main(
+            ["generate", "--dataset", name, "--n", "20", "--out", str(path)]
+        ) == 0
+        assert read_cloud_csv(path).n_points == 20
 
 
 def test_estimate_bmti_roundtrip(tmp_path, gauss_csv, capsys):

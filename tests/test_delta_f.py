@@ -145,7 +145,7 @@ def edges_in_default_and_tiny_batches(graph, field, cloud, monkeypatch):
     edge order) spans several windows.
     """
     n, dim = graph.n_points, cloud.embed_dim
-    per_pair = max(int(graph.k.max()), dim * (dim + 3) // 2, dim * dim)
+    per_pair = max(int(graph.k.max()), dim * (dim + 3) // 2, dim * dim, 32)
     # The sources of the pairs in edge order: every edge but the one from
     # the higher index of a mutual pair.
     src, dst = edge_src(graph).tolist(), graph.edge_dst.tolist()
@@ -199,6 +199,34 @@ def test_edge_set_matches_scalar_operations(rng, monkeypatch):
         assert edges.eps2[e] == pytest.approx(eps2, rel=1e-9)
 
 
+def test_edges_independent_of_row_order(rng, monkeypatch):
+    # The kernel intersects the graph's rows in the order they list their
+    # neighbours, so a graph listing them in another order gives the same
+    # edges, up to the order in which the shared points are summed; and no
+    # build, at any batch budget or thread count, writes to edge_dst.
+    cloud, graph, field = pipeline_stages(rng, n=120, k=9)
+    n = graph.n_points
+    rows = graph.edge_dst.reshape(n, -1)
+    shuffled = build_neighbor_graph(
+        cloud, graph.k, rng.permuted(rows, axis=1).ravel(), graph.radii
+    )
+    assert not np.array_equal(shuffled.edge_dst, graph.edge_dst)
+    want = None
+    for g in (graph, shuffled):
+        listed = g.edge_dst.copy()
+        sets = edges_in_default_and_tiny_batches(g, field, cloud, monkeypatch)
+        assert g.edge_dst.tobytes() == listed.tobytes()
+        # Edges by (src, dst).
+        order = np.argsort(edge_src(g) * n + g.edge_dst)
+        for edges in sets:
+            got = [getattr(edges, name)[order] for name in ("delta_f", "eps2", "pearson")]
+            if want is None:
+                want = got
+            assert np.array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-11, atol=0)
+            np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-11)
+
+
 def test_edge_antisymmetry_over_mutual_pairs(rng):
     cloud, graph, field = pipeline_stages(rng, n=100, k=12)
     edges = build_delta_f_edges(graph, field, cloud)
@@ -219,7 +247,7 @@ def test_edge_model_matches_shared_set_oracle(rng, monkeypatch, dim):
     # Every edge's error model against the oracle's explicit shared sets, at
     # every batch budget. Far from the origin, so the moments are not
     # computed in coordinates that happen to be centred already.
-    pts = rng.standard_normal((80, dim)) + np.resize([40.0, -25.0], dim)
+    pts = rng.standard_normal((120, dim)) + np.resize([40.0, -25.0], dim)
     cloud = PointCloud(points=pts)
     graph = neighbor_graph(
         cloud, adaptive_k(cloud, float(dim), lr_threshold=8.0, k_max=20)
@@ -366,21 +394,23 @@ def test_calibration_requires_truth(rng):
 
 def test_edge_builder_rejects_bad_floor(rng):
     cloud, graph, field = pipeline_stages(rng, n=40, k=5)
-    with pytest.raises(ParameterError):
-        build_delta_f_edges(graph, field, cloud, eps2_min=0.0)
+    for eps2_min in (0.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="eps2_min"):
+            build_delta_f_edges(graph, field, cloud, eps2_min=eps2_min)
 
 
-def test_edge_kernel_allocates_under_185_bytes_per_edge(rng, monkeypatch):
+def test_edge_kernel_allocates_under_81_bytes_per_edge(rng, monkeypatch):
     # On one thread, so that one batch is alive at a time, and on a cloud
     # whose n is large next to its k: a bitmap that grew with n (a slot of
-    # n per source of a whole batch, say) would not fit the bound. Measured
-    # at 162 bytes per edge, most of it one batch's temporaries (k = 6 makes
-    # batches of 87381 pairs).
+    # n per source of a whole batch, say) would not fit the bound, nor would
+    # batches sized by k alone (k = 6 would make them 87381 pairs, at 162
+    # bytes per edge). Measured at 70.5 bytes per edge, with batches of
+    # 16384 pairs.
     monkeypatch.setattr(geometry, "_WORKERS", 1)
     cloud, graph, field = pipeline_stages(rng, n=40000, k=6)
     edges, peak, _ = traced(lambda: build_delta_f_edges(graph, field, cloud))
     assert edges.n_edges == graph.n_edges
-    assert peak <= 185 * edges.n_edges, f"{peak / edges.n_edges:.1f} bytes per edge"
+    assert peak <= 81 * edges.n_edges, f"{peak / edges.n_edges:.1f} bytes per edge"
 
 
 def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):

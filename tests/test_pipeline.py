@@ -351,6 +351,7 @@ def test_uncertainties_need_pure_integration():
         {"alpha": 1.5},
         {"alpha": float("nan")},
         {"cg_tol": 0.0},
+        {"cg_tol": 1.0},
         {"alpha": 0.5, "cg_tol": 0.0},
         {"cg_max_iter": 0},
         {"eps2_min": 0.0},

@@ -336,6 +336,9 @@ def test_regularized_guards(rng):
         with pytest.raises(ParameterError):
             solve_bmti(system, alpha=alpha, anchor=anchor)
     for alpha in (1.0, 0.5, 0.0):
-        for tol in (0.0, np.nan):
+        for tol in (0.0, np.nan, 1.0, np.inf):
             with pytest.raises(ParameterError, match="tol"):
                 solve_bmti(system, tol=tol, alpha=alpha, anchor=(f0, h))
+        for max_iter in (0, -1, 2.5):
+            with pytest.raises(ParameterError, match="max_iter"):
+                solve_bmti(system, max_iter=max_iter, alpha=alpha, anchor=(f0, h))
