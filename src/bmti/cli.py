@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import gkde_density, knn_baseline
 from .datasets import DATASET_DEFAULTS, generate_dataset
-from .evaluation import align_and_mae, run_benchmark, write_csv_columns
+from .evaluation import METHODS, align_and_mae, run_benchmark, write_csv_columns
 from .exceptions import BmtiError, DataError, ParameterError
 from .geometry import PointCloud
 from .pipeline import BmtiConfig, run_bmti
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate)
 
     e = sub.add_parser("estimate", help="estimate F for a coordinate CSV")
-    e.add_argument("--method", required=True, choices=["bmti", "knn", "gkde"])
+    e.add_argument("--method", required=True, choices=METHODS)
     e.add_argument("--input", required=True)
     e.add_argument("--id", type=_id_argument, default=None,
                    help="'auto' (TwoNN, default) or a fixed intrinsic dimension")

@@ -96,8 +96,9 @@ class DeltaFEdgeSet:
         """sqrt(r^T var_g[w] r) per edge, w = ends, in batches of edges."""
         n_e, pts = self.n_edges, self.points
         out = np.empty(n_e)
-        # The gathers of a batch are D x D per edge.
-        batch = max(1, geometry._BATCH_ENTRIES // pts.shape[1] ** 2)
+        # A batch gathers a D x D covariance per edge and holds about ten
+        # arrays of one entry per edge, which bound its size where D is small.
+        batch = max(1, geometry._BATCH_ENTRIES // max(pts.shape[1] ** 2, 32))
 
         def spread_batch(s: int) -> None:
             e = min(s + batch, n_e)

@@ -18,10 +18,9 @@ import numpy as np
 from .baselines import gkde_density, knn_baseline
 from .datasets import DATASET_DEFAULTS, generate_dataset
 from .delta_f import calibration_report
-from .exceptions import DataError, ParameterError
+from .exceptions import DataError, ParameterError, _integer
 from .geometry import PointCloud
 from .pipeline import BmtiConfig, run_bmti
-from .solver import _integer
 
 SCHEMA_VERSION = 1
 METHODS = ("bmti", "knn", "gkde")

@@ -2,7 +2,16 @@
 
 Parameter and data problems derive from ValueError so callers doing plain
 ``except ValueError`` keep working; runtime failures derive from RuntimeError.
+_integer is the one rule for sizes and counts that every parameter check
+applies.
 """
+
+from numbers import Integral
+
+
+def _integer(value) -> bool:
+    """Whether value is an integer, bool excluded."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class BmtiError(Exception):

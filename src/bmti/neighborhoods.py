@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .exceptions import DataError, ParameterError
+from .exceptions import DataError, ParameterError, _integer
 from .geometry import PointCloud
 
 # Likelihood-ratio stop threshold: chi-squared, 1 dof, p about 1e-6.
@@ -117,10 +117,10 @@ def select_adaptive_k(
     sum(k[:i] - 1); and radii[i], the distance from i to the last of them.
     """
     n = cloud.n_points
-    if k_min < 4:
-        raise ParameterError(f"k_min must be >= 4, got {k_min}")
-    if k_max < k_min:
-        raise ParameterError(f"k_max ({k_max}) below k_min ({k_min})")
+    if not (_integer(k_min) and k_min >= 4):
+        raise ParameterError(f"k_min must be an integer >= 4, got {k_min!r}")
+    if not (_integer(k_max) and k_max >= k_min):
+        raise ParameterError(f"k_max must be an integer >= k_min, got {k_max!r}")
     if not np.isfinite(d) or d <= 0:
         raise ParameterError(f"intrinsic dimension must be positive, got {d}")
     if not lr_threshold > 0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry
 from .delta_f import EPS2_MIN, DeltaFEdgeSet, build_delta_f_edges
-from .exceptions import ParameterError
+from .exceptions import ParameterError, _integer
 from .geometry import PointCloud
 from .gradients import GradientField, compute_gradient_field
 from .intrinsic_dim import IntrinsicDim, estimate_id_twonn
@@ -37,7 +37,6 @@ from .neighborhoods import (
 )
 from .solver import (
     LogDensityEstimate,
-    _integer,
     assemble_system,
     estimate_uncertainties,
     knn_anchor,

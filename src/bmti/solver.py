@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,16 +38,12 @@ from .exceptions import (
     NumericalError,
     ParameterError,
     StateError,
+    _integer,
 )
 from .geometry import PointCloud, unit_ball_volume
 from .neighborhoods import NeighborGraph
 
 UNCERTAINTY_CAP = 2000
-
-
-def _integer(value) -> bool:
-    """Whether value is an integer, bool excluded."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -164,9 +159,8 @@ def assemble_system(edges: DeltaFEdgeSet) -> SolverSystem:
     return SolverSystem(A=A, b=b, component_labels=rank[labels])
 
 
-def _center_per_component(x: np.ndarray, labels: np.ndarray, counts: np.ndarray) -> None:
-    means = np.bincount(labels, weights=x, minlength=counts.shape[0]) / counts
-    x -= means[labels]
+def _center_per_component(x: np.ndarray, labels: np.ndarray) -> None:
+    x -= (np.bincount(labels, weights=x) / np.bincount(labels))[labels]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -176,31 +170,24 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _pcg(
-    A: sp.csr_matrix,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-    labels: np.ndarray | None,
+    A: sp.csr_matrix, b: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG; optionally projects out per-component means."""
+    """Jacobi-preconditioned CG from x = 0, with no projection in the loop.
+
+    A may be singular if b lies in its range: solve_bmti centres b per
+    component before the call, and the returned x, a solution up to A's
+    kernel, after it."""
     n = b.shape[0]
     diag = A.diagonal()
     inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-    counts = None
-    if labels is not None:
-        counts = np.bincount(labels).astype(np.float64)
 
     r = b.copy()
-    if labels is not None:
-        _center_per_component(r, labels, counts)
     b_norm = float(np.sqrt(_dot(r, r)))
     if b_norm == 0.0:
         return np.zeros(n), 0, 0.0
 
     x = np.zeros(n)
     z = inv_diag * r
-    if labels is not None:
-        _center_per_component(z, labels, counts)
     p = z.copy()
     step = np.empty(n)
     rz = _dot(r, z)
@@ -216,11 +203,7 @@ def _pcg(
         x += step
         Ap *= alpha
         r -= Ap
-        if labels is not None:
-            _center_per_component(r, labels, counts)
         np.multiply(inv_diag, r, out=z)
-        if labels is not None:
-            _center_per_component(z, labels, counts)
         rz_new = _dot(r, z)
         if not np.isfinite(rz_new):
             raise NumericalError("NaN in conjugate-gradient iterates")
@@ -234,8 +217,6 @@ def _pcg(
             f"CG stopped at relative residual {res:.3e} after {it} iterations "
             f"(tol {tol:.1e})"
         )
-    if labels is not None:
-        _center_per_component(x, labels, counts)
     return x, it, res
 
 
@@ -249,9 +230,11 @@ def solve_bmti(
     """Solve the assembled system by preconditioned conjugate gradient.
 
     alpha = 1 solves A F = b. The constant vector per connected component
-    spans the kernel of A, so iterates are kept mean-zero per component (the
-    gauge): returned F has zero mean over each component, and a graph of
-    several components warns that their relative offsets are undetermined.
+    spans the kernel of A, so F is fixed only up to one constant per
+    component (the gauge). b is centred per component before the solve,
+    which makes the system consistent, and F after it: returned F has zero
+    mean over each component, and a graph of several components warns that
+    their relative offsets are undetermined.
 
     alpha < 1 blends in the pointwise anchor = (F0, h) of knn_anchor, which
     it requires, and solves (alpha A + (1-alpha) diag(h)) F = alpha b +
@@ -280,7 +263,11 @@ def solve_bmti(
                 "components are undetermined (consider alpha < 1)",
                 stacklevel=2,
             )
-        F, it, res = _pcg(system.A, system.b, tol, max_iter, system.component_labels)
+        labels = system.component_labels
+        b = system.b.copy()
+        _center_per_component(b, labels)
+        F, it, res = _pcg(system.A, b, tol, max_iter)
+        _center_per_component(F, labels)
     else:
         if anchor is None:
             raise ParameterError("alpha < 1 needs the pointwise anchor (F0, h)")
@@ -295,7 +282,7 @@ def solve_bmti(
         else:
             M = (alpha * system.A + sp.diags((1.0 - alpha) * h)).tocsr()
             rhs = alpha * system.b + (1.0 - alpha) * h * f0
-            F, it, res = _pcg(M, rhs, tol, max_iter, labels=None)
+            F, it, res = _pcg(M, rhs, tol, max_iter)
     return LogDensityEstimate(
         F=F, var_F=None, method="bmti", alpha=float(alpha),
         cg_iterations=it, residual=res,

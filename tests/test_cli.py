@@ -14,8 +14,9 @@ from oracles import dump_edges_rows
 
 import bmti
 from bmti.baselines import knn_density
-from bmti.cli import main, read_cloud_csv
+from bmti.cli import build_parser, main, read_cloud_csv
 from bmti.datasets import DATASET_DEFAULTS
+from bmti.evaluation import METHODS
 from bmti.pipeline import BmtiConfig, run_bmti
 
 
@@ -62,6 +63,15 @@ def test_generate_accepts_every_dataset(tmp_path):
             ["generate", "--dataset", name, "--n", "20", "--out", str(path)]
         ) == 0
         assert read_cloud_csv(path).n_points == 20
+
+
+def test_estimate_accepts_every_method():
+    parser = build_parser()
+    for method in METHODS:
+        args = parser.parse_args(
+            ["estimate", "--method", method, "--input", "x.csv", "--out", "f.csv"]
+        )
+        assert args.method == method
 
 
 def test_estimate_bmti_roundtrip(tmp_path, gauss_csv, capsys):

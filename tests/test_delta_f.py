@@ -413,6 +413,20 @@ def test_edge_kernel_allocates_under_81_bytes_per_edge(rng, monkeypatch):
     assert peak <= 81 * edges.n_edges, f"{peak / edges.n_edges:.1f} bytes per edge"
 
 
+def test_spreads_allocate_under_24_bytes_per_edge(rng, monkeypatch):
+    # The setting of the edge kernel's test. A batch holds about ten floats
+    # an edge, so batches sized by D^2 alone (131072 edges at D = 2) would
+    # allocate 58 bytes per edge. Measured at 21.3 bytes per edge, with
+    # batches of 16384 edges.
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    cloud, graph, field = pipeline_stages(rng, n=40000, k=6)
+    edges = build_delta_f_edges(graph, field, cloud)
+    for read in (lambda: edges.eps_src, lambda: edges.eps_dst):
+        spread, peak, _ = traced(read)
+        assert spread.shape == (edges.n_edges,)
+        assert peak <= 24 * edges.n_edges, f"{peak / edges.n_edges:.1f} bytes per edge"
+
+
 def test_edge_builder_clamps_roundoff_and_rejects_non_psd(rng, monkeypatch):
     cloud, graph, field = pipeline_stages(rng, n=80, k=6)
     # Forms negative by roundoff only are clamped to 0: no spread, no

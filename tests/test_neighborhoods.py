@@ -99,6 +99,10 @@ def test_selection_guards(rng):
         select_adaptive_k(cloud, *table, 2.0, k_min=3)
     with pytest.raises(ParameterError):
         select_adaptive_k(cloud, *table, 2.0, k_min=8, k_max=7)
+    # The config's integer rule: floats are refused, integral or not.
+    for sizes in ({"k_max": 20.0}, {"k_min": 5.0}, {"k_min": 4.5}):
+        with pytest.raises(ParameterError):
+            select_adaptive_k(cloud, *table, 2.0, **sizes)
     with pytest.raises(ParameterError):
         select_adaptive_k(cloud, *table, -1.0)
     with pytest.raises(ParameterError):

@@ -23,7 +23,7 @@ from oracles import stage_peaks
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
 from bmti.delta_f import build_delta_f_edges
-from bmti.exceptions import BmtiError, ParameterError
+from bmti.exceptions import BmtiError, ConvergenceError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
 from bmti.neighborhoods import LR_THRESHOLD, select_adaptive_k
@@ -365,6 +365,12 @@ def test_config_rejects_bad_fields_before_any_stage(monkeypatch, fields):
     with pytest.raises(ParameterError, match=list(fields)[-1]):
         run_bmti(cloud, BmtiConfig(**fields))
     assert widths == []
+
+
+def test_solve_out_of_iterations_raises():
+    cloud = generate_dataset("gauss2d", n=400, seed=0)
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
+        run_bmti(cloud, BmtiConfig(cg_max_iter=1))
 
 
 def test_config_is_frozen():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,44 @@ def test_consistent_path_recovers_truth(rng):
     est = solve_bmti(assemble_system(edges), tol=1e-12)
     want = f_true - f_true.mean()
     assert np.abs(est.F - want).max() < 1e-10
+
+
+def test_zero_differences_solve_to_zero_in_no_iterations():
+    edges = edge_set(*mutual(([0, 1, 2], [1, 2, 3], np.zeros(3), np.ones(3))), 4)
+    est = solve_bmti(assemble_system(edges))
+    assert np.array_equal(est.F, np.zeros(4))
+    assert est.cg_iterations == 0 and est.residual == 0.0
+
+
+def test_gauge_fixed_once_before_and_once_after_the_loop(rng, monkeypatch):
+    # b is centred per component before the solve and F after it; no pass
+    # is made inside the loop, however many iterations it takes.
+    calls = []
+    center = solver._center_per_component
+
+    def counted(x, labels):
+        calls.append(x.shape)
+        center(x, labels)
+
+    monkeypatch.setattr(solver, "_center_per_component", counted)
+    two = edge_set(
+        *mutual((
+            np.array([0, 1, 2, 3, 4, 5, 6]), np.array([1, 2, 0, 4, 5, 6, 3]),
+            rng.standard_normal(7), rng.uniform(0.5, 2.0, 7),
+        )),
+        7,
+    )
+    for edges in (random_instance(rng, 40), two):
+        calls.clear()
+        system = assemble_system(edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            est = solve_bmti(system, tol=1e-12)
+        assert est.cg_iterations > 2
+        assert calls == [(system.n_points,)] * 2
+        labels = system.component_labels
+        for c in np.unique(labels):
+            assert abs(est.F[labels == c].mean()) <= 1e-12
 
 
 def test_inconsistent_triangle_matches_pseudo_inverse():
