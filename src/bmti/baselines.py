@@ -19,13 +19,17 @@ class BaselineEstimate:
     params: dict = field(default_factory=dict)
 
 
-def abramson_k(n: int, embed_dim: int, k_min: int = 4) -> int:
-    """Rule-of-thumb neighbour count round(n^(D/(D+4))), clamped to [k_min, n-1]."""
+def abramson_k(n: int, dim: float, k_min: int = 4) -> int:
+    """Rule-of-thumb neighbour count round(n^(d/(d+4))), clamped to [k_min, n-1].
+
+    dim is the dimension d of the ball volumes the count serves: the
+    embedding dimension, or a real-valued intrinsic one.
+    """
     if n < 2:
         raise ParameterError("need at least 2 points")
-    if embed_dim < 1:
-        raise ParameterError("embedding dimension must be >= 1")
-    k = int(round(n ** (embed_dim / (embed_dim + 4.0))))
+    if not 0.0 < dim < np.inf:
+        raise ParameterError(f"dimension must be positive, got {dim}")
+    k = int(round(n ** (dim / (dim + 4.0))))
     return int(np.clip(k, k_min, n - 1))
 
 
@@ -67,25 +71,28 @@ def knn_baseline(
 ) -> BaselineEstimate:
     """knn_density as `bmti estimate --method knn` and the benchmark run it.
 
-    k defaults to abramson_k. The ball dimension is d when given, else the
-    embedding dimension (volume_dim "embed") or the TwoNN intrinsic
-    dimension (volume_dim "id"); the latter queries one table at max(k, 2)
-    for TwoNN (two columns) and the baseline (k). The dimension used is
-    params["d"] of the result.
+    The ball dimension is d when given, else the embedding dimension
+    (volume_dim "embed") or the TwoNN intrinsic dimension (volume_dim "id").
+    k defaults to abramson_k at that dimension. With k given, volume_dim
+    "id" queries one table at max(k, 2) for TwoNN (two columns) and the
+    baseline (k); without, k follows from TwoNN's table of two columns and
+    the baseline queries its own. The dimension used is params["d"] of the
+    result.
     """
-    k = abramson_k(cloud.n_points, cloud.embed_dim) if k is None else int(k)
     dist = None
     if d is None:
         if volume_dim == "embed":
             d = float(cloud.embed_dim)
         elif volume_dim == "id":
-            _, dist = knn_query_all(cloud, max(k, 2))
+            _, dist = knn_query_all(cloud, 2 if k is None else max(int(k), 2))
             d = estimate_id_twonn(dist, cloud.embed_dim).d
         else:
             raise ParameterError(
                 f"volume_dim must be 'id' or 'embed', got {volume_dim!r}"
             )
-    return knn_density(cloud, d, k, dist)
+    if k is None:
+        k, dist = abramson_k(cloud.n_points, d), None
+    return knn_density(cloud, d, int(k), dist)
 
 
 def silverman_bandwidth(cloud: PointCloud) -> float:

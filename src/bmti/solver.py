@@ -17,19 +17,26 @@ sparse sum, A = H + H^T = diag(deg) - (W + W^T) for W the weights, taken a
 block of rows at a time so that no buffer larger than A outlives a block.
 deg and b are summed by np.bincount over the edge sources, made from the
 row starts and freed once summed; the component labels, the only ones a
-run computes, come from A's pattern. The CG loop updates its
-iterates in place and takes its dot products with np.einsum, not BLAS,
-whose threads slow it severalfold when another process keeps a core busy.
+run computes, come from A's pattern.
+
+solve_bmti runs one preconditioned CG loop at every alpha. Its
+preconditioner (_TwoLevel) adds to the Jacobi scaling a coarse correction on
+about sqrt(n) aggregates of points, built once per matrix from the matrix
+and its component labels alone; on mb2d n=5000 it halves the iteration
+count of plain Jacobi. The loop updates its iterates in place and takes its
+dot products, and the coarse product, with np.einsum, not BLAS, whose
+threads slow it severalfold when another process keeps a core busy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .delta_f import DeltaFEdgeSet
 from .exceptions import (
@@ -169,25 +176,79 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
+class _TwoLevel:
+    """The preconditioner z = D^-1 r + P E^+ P^T r of one matrix A with the
+    pattern of the graph Laplacian, built once from A and its component
+    labels: the Jacobi scaling plus an additive coarse correction.
+
+    P maps each point to the cell of its nearest seed, by hops on A's
+    pattern (a graph-Voronoi aggregation). The seeds are every
+    ceil(sqrt(n))-th point and the lowest point of each component that
+    holds none of those, so every point has a cell and no cell spans two
+    components. The coarse matrix E = P^T (A P) is small and dense. For a
+    Laplacian it is singular, with one constant vector per component as
+    kernel; adding a block of constants per component, which gives that
+    vector E's largest diagonal entry as eigenvalue, makes it definite
+    without changing its action on vectors of zero sum per component, where
+    P^T r lies for every residual r of a consistent system. E is Cholesky
+    factored once and its inverse kept between two projections onto those
+    vectors, along the cell sizes: a residual constant on a component, which
+    rounding adds to r in A's kernel, then gets no coarse correction, and the
+    residual CG can reach stays that of the Jacobi scaling alone.
+    """
+
+    def __init__(self, A: sp.csr_matrix, labels: np.ndarray):
+        n = A.shape[0]
+        diag = A.diagonal()
+        self.inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
+        _, first = np.unique(labels, return_index=True)
+        seeds = np.union1d(np.arange(0, n, math.isqrt(n - 1) + 1), first)
+        m = seeds.size
+        # The pattern, not A, whose negative entries dijkstra warns about.
+        pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+        _, _, owner = dijkstra(
+            pattern, indices=seeds, min_only=True, return_predecessors=True
+        )
+        del pattern
+        rank = np.empty(n, dtype=np.intp)
+        rank[seeds] = np.arange(m)
+        self.cell = rank[owner]
+        P = sp.csr_matrix((np.ones(n), self.cell, np.arange(n + 1)), shape=(n, m))
+        E = (P.T @ (A @ P)).toarray()
+        same = labels[seeds][:, None] == labels[seeds][None, :]
+        top = E.diagonal().max()
+        E += same * ((top if top > 0.0 else 1.0) / same.sum(axis=1))[:, None]
+        inv_factor = np.linalg.inv(np.linalg.cholesky(E))
+        size = np.bincount(self.cell, minlength=m).astype(np.float64)
+        proj = np.eye(m) - same * (size / (same @ size))[:, None]
+        self.coarse = proj.T @ (inv_factor.T @ inv_factor) @ proj
+
+    def __call__(self, r: np.ndarray, out: np.ndarray) -> None:
+        """Write z for the residual r into out."""
+        y = np.bincount(self.cell, r, minlength=self.coarse.shape[0])
+        np.multiply(self.inv_diag, r, out=out)
+        out += np.einsum("ij,j->i", self.coarse, y)[self.cell]
+
+
 def _pcg(
-    A: sp.csr_matrix, b: np.ndarray, tol: float, max_iter: int
+    A: sp.csr_matrix, precond: _TwoLevel, b: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, int, float]:
-    """Jacobi-preconditioned CG from x = 0, with no projection in the loop.
+    """CG from x = 0 preconditioned by precond, A's _TwoLevel, with no
+    projection in the loop.
 
     A may be singular if b lies in its range: solve_bmti centres b per
     component before the call, and the returned x, a solution up to A's
-    kernel, after it."""
+    kernel, after it. precond is symmetric positive definite, so CG
+    converges on such a system."""
     n = b.shape[0]
-    diag = A.diagonal()
-    inv_diag = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-
     r = b.copy()
     b_norm = float(np.sqrt(_dot(r, r)))
     if b_norm == 0.0:
         return np.zeros(n), 0, 0.0
 
     x = np.zeros(n)
-    z = inv_diag * r
+    z = np.empty(n)
+    precond(r, out=z)
     p = z.copy()
     step = np.empty(n)
     rz = _dot(r, z)
@@ -203,7 +264,7 @@ def _pcg(
         x += step
         Ap *= alpha
         r -= Ap
-        np.multiply(inv_diag, r, out=z)
+        precond(r, out=z)
         rz_new = _dot(r, z)
         if not np.isfinite(rz_new):
             raise NumericalError("NaN in conjugate-gradient iterates")
@@ -266,7 +327,7 @@ def solve_bmti(
         labels = system.component_labels
         b = system.b.copy()
         _center_per_component(b, labels)
-        F, it, res = _pcg(system.A, b, tol, max_iter)
+        F, it, res = _pcg(system.A, _TwoLevel(system.A, labels), b, tol, max_iter)
         _center_per_component(F, labels)
     else:
         if anchor is None:
@@ -282,7 +343,9 @@ def solve_bmti(
         else:
             M = (alpha * system.A + sp.diags((1.0 - alpha) * h)).tocsr()
             rhs = alpha * system.b + (1.0 - alpha) * h * f0
-            F, it, res = _pcg(M, rhs, tol, max_iter)
+            F, it, res = _pcg(
+                M, _TwoLevel(M, system.component_labels), rhs, tol, max_iter
+            )
     return LogDensityEstimate(
         F=F, var_F=None, method="bmti", alpha=float(alpha),
         cg_iterations=it, residual=res,

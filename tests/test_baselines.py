@@ -9,9 +9,12 @@ from bmti.baselines import (
     abramson_k,
     gkde_density,
     gkde_neg_log_density,
+    knn_baseline,
     knn_density,
     silverman_bandwidth,
 )
+from bmti.datasets import generate_dataset
+from bmti.evaluation import align_and_mae
 from bmti.exceptions import DataError, ParameterError
 from bmti.geometry import PointCloud, knn_query_all
 
@@ -22,8 +25,26 @@ def test_abramson_rule():
     assert abramson_k(5, 2) == 4  # floor kicks in
     with pytest.raises(ParameterError):
         abramson_k(0, 2)
-    with pytest.raises(ParameterError):
-        abramson_k(100, 0)
+    # A real dimension, such as a TwoNN estimate, is read as it is.
+    assert abramson_k(2000, 2.5) == round(2000 ** (2.5 / 6.5))
+    for dim in (0, -1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            abramson_k(100, dim)
+
+
+def test_knn_baseline_takes_k_from_its_volume_dimension():
+    # mb2d embedded in D = 20: the ball volumes are 2-d, and so is the k
+    # rule. At D = 20 the rule would give k = 563 and oversmooth.
+    cloud = generate_dataset("mb2d-20d", n=2000, seed=0)
+    est = knn_baseline(cloud, volume_dim="id")
+    d = est.params["d"]
+    assert 1.8 < d < 2.2
+    assert est.params["k"] == abramson_k(2000, d) == 13
+    assert np.array_equal(est.F, knn_density(cloud, d, 13).F)
+    assert align_and_mae(est.F, cloud.truth_F)[1] < 0.3
+    # A given d sets the rule's dimension too; embedding volumes keep D.
+    assert knn_baseline(cloud, d=2.0).params["k"] == abramson_k(2000, 2) == 13
+    assert knn_baseline(cloud).params["k"] == abramson_k(2000, 20) == 563
 
 
 def test_knn_single_pair_closed_form():

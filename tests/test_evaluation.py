@@ -213,12 +213,14 @@ def test_knn_baseline_with_intrinsic_dimension_queries_one_table(monkeypatch, k)
     params = {"volume_dim": "id"} if k is None else {"volume_dim": "id", "k": k}
     widths = count_knn_queries(monkeypatch)
     F, d, _, _ = _estimate_cell(cloud, "knn", params)
-    k_used = abramson_k(300, 2) if k is None else k
-    assert widths == [max(k_used, 2)]
     monkeypatch.undo()
-    # The two tables of TwoNN and the baseline, queried separately.
     d_ref = twonn(cloud).d
     assert d == d_ref
+    # A given k shares TwoNN's table; a default k follows from TwoNN's d, so
+    # the baseline queries its own table after TwoNN's two columns.
+    k_used = abramson_k(300, d_ref) if k is None else k
+    assert widths == ([2, k_used] if k is None else [max(k_used, 2)])
+    # The two tables of TwoNN and the baseline, queried separately.
     assert np.array_equal(F, knn_density(cloud, d_ref, k_used).F)
 
 

@@ -242,7 +242,23 @@ def test_whole_call_peak_under_100_bytes_per_edge(monkeypatch):
     assert max(peaks[s] for s in stages) <= peaks["whole_call"]
     per_edge = peaks["whole_call"] / result.edges.n_edges
     assert per_edge <= 100, {s: f"{p / 1e6:.1f} MB" for s, p in peaks.items()}
+    # The solver's coarse workspace stays below the assembly's peak, so it
+    # never sets the call's.
+    assert peaks["solve"] < peaks["assembly"]
     np.testing.assert_array_equal(result.F, run_bmti(cloud).F)
+
+
+def test_mb2d_solve_takes_at_most_150_iterations_and_reaches_1e_13():
+    # The coarse correction of the two-level preconditioner halves the 262
+    # iterations that the Jacobi scaling alone takes on this cloud. The count
+    # is deterministic.
+    result = run_bmti(generate_dataset("mb2d", n=5000, seed=0))
+    assert result.estimate.cg_iterations <= 150
+    # The coarse correction ignores the constant residual that rounding
+    # leaves in A's kernel, so a tight tolerance stays reachable (the
+    # residual CG can reach here is about 3e-14, as with Jacobi alone).
+    tight = solve_bmti(assemble_system(result.edges), tol=1e-13)
+    assert tight.residual <= 1e-13
 
 
 def test_rows_kept_once_as_row_starts():

@@ -249,6 +249,72 @@ def test_solve_matches_pseudo_inverse_random(rng):
         assert np.abs(est.F - dense).max() < 1e-8
 
 
+def dense_oracle(system, alpha=1.0, anchor=None):
+    """The solution by the dense pseudo-inverse (alpha = 1, centred per
+    component) or the dense solve of the anchored system (alpha < 1)."""
+    if alpha == 1.0:
+        F = np.linalg.pinv(system.A.toarray(), hermitian=True) @ system.b
+        return centered_per_component(F, system.component_labels)
+    f0, h = anchor
+    M = alpha * system.A.toarray() + np.diag((1.0 - alpha) * h)
+    return np.linalg.solve(M, alpha * system.b + (1.0 - alpha) * h * f0)
+
+
+def on_blocks(rng, n, blocks):
+    """A connected random instance on each block of points; points in no
+    block have no edges."""
+    parts = []
+    for pts in blocks:
+        part = random_instance(rng, len(pts))
+        pts = np.asarray(pts)
+        parts.append((pts[part.src], pts[part.dst], part.delta_f, part.eps2))
+    return edge_set(*(np.concatenate(col) for col in zip(*parts)), n)
+
+
+def preconditioner_case(rng, case):
+    """Systems on which the coarse space meets an edge case: three
+    components; a point without edges (a zero diagonal entry); a component
+    of points 1-5, between the strided seeds 0 and 8 of n = 50."""
+    if case == "components":
+        return on_blocks(rng, 60, np.array_split(rng.permutation(60), 3))
+    if case == "isolated_point":
+        return on_blocks(rng, 30, [np.delete(np.arange(30), 17)])
+    return on_blocks(rng, 50, [np.arange(1, 6), np.delete(np.arange(50), np.arange(1, 6))])
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, 0.9])
+@pytest.mark.parametrize("case", ["components", "isolated_point", "seedless_component"])
+def test_solve_matches_dense_oracle_in_preconditioner_edge_cases(rng, case, alpha):
+    system = assemble_system(preconditioner_case(rng, case))
+    n = system.n_points
+    anchor = (rng.standard_normal(n), rng.uniform(1.0, 40.0, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # several components
+        est = solve_bmti(system, tol=1e-12, alpha=alpha, anchor=anchor)
+    assert np.abs(est.F - dense_oracle(system, alpha, anchor)).max() < 1e-8
+    # Every point has a cell, which lies in one component; the component
+    # without a strided seed is seeded at its lowest point.
+    labels = system.component_labels
+    pre = solver._TwoLevel(system.A, labels)
+    cells = np.unique(pre.cell)
+    assert np.array_equal(cells, np.arange(pre.coarse.shape[0]))
+    for c in cells:
+        assert np.unique(labels[pre.cell == c]).size == 1
+    if case == "seedless_component":
+        assert cells.size == 8
+        assert np.array_equal(np.flatnonzero(pre.cell == pre.cell[1]), np.arange(1, 6))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 37, 120, 200])
+def test_solve_matches_pseudo_inverse_from_2_to_200_points(rng, n):
+    system = assemble_system(random_instance(rng, n))
+    est = solve_bmti(system, tol=1e-12)
+    assert np.abs(est.F - dense_oracle(system)).max() < 1e-8
+    anchor = (rng.standard_normal(n), rng.uniform(1.0, 40.0, n))
+    est = solve_bmti(system, tol=1e-12, alpha=0.5, anchor=anchor)
+    assert np.abs(est.F - dense_oracle(system, 0.5, anchor)).max() < 1e-8
+
+
 def test_two_node_variance_closed_form():
     eps2 = 0.9
     edges = edge_set([0, 1], [1, 0], [1.0, -1.0], [eps2, eps2], 2)
