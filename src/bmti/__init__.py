@@ -16,7 +16,6 @@ from .baselines import (
 )
 from .datasets import (
     DATASET_DEFAULTS,
-    EmbeddingSpec,
     Potential,
     generate_dataset,
     glassy_density,
@@ -86,7 +85,6 @@ __all__ = [
     "DATASET_DEFAULTS",
     "DataError",
     "DeltaFEdgeSet",
-    "EmbeddingSpec",
     "EvaluationReport",
     "GradientField",
     "IntrinsicDim",

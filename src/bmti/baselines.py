@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .exceptions import DataError, ParameterError
-from .geometry import PointCloud, knn_query_all, unit_ball_volume
+from .geometry import PointCloud, _check_dimension, knn_query_all, unit_ball_volume
 from .intrinsic_dim import estimate_id_twonn
 
 
@@ -16,21 +16,20 @@ from .intrinsic_dim import estimate_id_twonn
 class BaselineEstimate:
     F: np.ndarray
     method: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
 
-def abramson_k(n: int, dim: float, k_min: int = 4) -> int:
-    """Rule-of-thumb neighbour count round(n^(d/(d+4))), clamped to [k_min, n-1].
+def abramson_k(n: int, dim: float) -> int:
+    """Rule-of-thumb neighbour count round(n^(d/(d+4))), clamped to [4, n-1].
 
     dim is the dimension d of the ball volumes the count serves: the
     embedding dimension, or a real-valued intrinsic one.
     """
     if n < 2:
         raise ParameterError("need at least 2 points")
-    if not 0.0 < dim < np.inf:
-        raise ParameterError(f"dimension must be positive, got {dim}")
+    _check_dimension(dim)
     k = int(round(n ** (dim / (dim + 4.0))))
-    return int(np.clip(k, k_min, n - 1))
+    return int(np.clip(k, 4, n - 1))
 
 
 def knn_density(
@@ -47,8 +46,7 @@ def knn_density(
     n = cloud.n_points
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
-    if not np.isfinite(d) or d <= 0:
-        raise ParameterError(f"dimension must be positive, got {d}")
+    _check_dimension(d)
     if dist is None:
         _, dist = knn_query_all(cloud, k)
     elif dist.ndim != 2 or dist.shape[0] != n or dist.shape[1] < k:

@@ -152,9 +152,9 @@ def _sixd_energy(pts: np.ndarray) -> np.ndarray:
     return bump + 0.5 * (pts[:, 2:] ** 2).sum(axis=1)
 
 
-def glassy_centers(seed: int = GLASSY_CENTER_SEED) -> np.ndarray:
-    """The 90 narrow-Gaussian centres, drawn once from a documented seed."""
-    rng = np.random.default_rng(seed)
+def glassy_centers() -> np.ndarray:
+    """The 90 narrow-Gaussian centres, drawn from GLASSY_CENTER_SEED."""
+    rng = np.random.default_rng(GLASSY_CENTER_SEED)
     return rng.uniform(
         _GLASSY_CENTER_LOW, _GLASSY_CENTER_HIGH, size=(_GLASSY_N_GAUSS, 2)
     )
@@ -367,59 +367,53 @@ def sample_mcmc(
     return PointCloud(points=pts[:n], truth_F=beta * energies[:n])
 
 
-@dataclass(frozen=True)
-class EmbeddingSpec:
-    """Swiss-roll embedding parameters.
-
-    target_dim is the final embedding dimension; rotation_seed fixes the
-    random orthogonal rotation.
-    """
-
-    target_dim: int = 20
-    rotation_seed: int = 0
+# Embedding dimension of the Swiss roll.
+ROLL_DIM = 20
 
 
-def rotation_matrix(spec: EmbeddingSpec) -> np.ndarray:
-    """Seeded Haar-random orthogonal matrix of size target_dim."""
-    rng = np.random.default_rng(spec.rotation_seed)
-    m = rng.standard_normal((spec.target_dim, spec.target_dim))
+def rotation_matrix(rotation_seed: int) -> np.ndarray:
+    """Haar-random orthogonal matrix of size ROLL_DIM, seeded by
+    rotation_seed."""
+    rng = np.random.default_rng(rotation_seed)
+    m = rng.standard_normal((ROLL_DIM, ROLL_DIM))
     q, r = np.linalg.qr(m)
     q = q * np.sign(np.diag(r))
-    if float(np.abs(q.T @ q - np.eye(spec.target_dim)).max()) > 1e-10:
+    if float(np.abs(q.T @ q - np.eye(ROLL_DIM)).max()) > 1e-10:
         raise NumericalError("rotation matrix failed the orthogonality check")
     return q
 
 
-def swiss_roll_embed(cloud: PointCloud, spec: EmbeddingSpec) -> PointCloud:
-    """Roll the first coordinate, zero-pad, rotate into target_dim.
+def swiss_roll_embed(cloud: PointCloud, rotation_seed: int) -> PointCloud:
+    """Roll the first coordinate, zero-pad, rotate into ROLL_DIM (20).
 
     The first coordinate x becomes the pair (x cos x, x sin x); remaining
-    coordinates are kept, the vector is padded with zeros to target_dim and
-    rotated by a seeded orthogonal matrix. The roll is injective on the
+    coordinates are kept, the vector is padded with zeros to ROLL_DIM
+    columns and rotated by rotation_matrix(rotation_seed), so a cloud may
+    have at most ROLL_DIM - 1 columns. The roll is injective on the
     sampled range and stretches area by sqrt(1 + x^2) (the length of
     d/dx (x cos x, x sin x)); padding and rotation keep it. So the rolled
     cloud's density on its surface is rho / sqrt(1 + x^2), and the ground
     truth becomes truth_F + log1p(x^2) / 2.
     """
     base = cloud.embed_dim
-    if base + 1 > spec.target_dim:
+    if base + 1 > ROLL_DIM:
         raise ParameterError(
-            f"target_dim {spec.target_dim} cannot hold {base}+1 rolled coordinates"
+            f"the {ROLL_DIM}-d roll cannot hold {base}+1 rolled coordinates"
         )
-    pad = spec.target_dim - (base + 1)
+    pad = ROLL_DIM - (base + 1)
     x1 = cloud.points[:, 0]
     cols = [x1 * np.cos(x1), x1 * np.sin(x1), cloud.points[:, 1:]]
     if pad:
         cols.append(np.zeros((cloud.n_points, pad)))
     rolled = np.column_stack(cols)
-    q = rotation_matrix(spec)
+    q = rotation_matrix(rotation_seed)
     truth = None
     if cloud.truth_F is not None:
         truth = cloud.truth_F + 0.5 * np.log1p(x1 * x1)
     return PointCloud(points=rolled @ q.T, truth_F=truth)
 
 
-# Dataset tags: (default sample count, default beta, 20-d roll?).
+# Dataset tags: (default sample count, default beta, Swiss roll?).
 DATASET_DEFAULTS = {
     "gauss2d": (2000, 1.0, False),
     "mb2d": (5000, 0.035, False),
@@ -435,13 +429,12 @@ def generate_dataset(
     n: int | None = None,
     beta: float | None = None,
     seed: int = 0,
-    **mcmc_kwargs,
 ) -> PointCloud:
     """Sample one of the named benchmark datasets with ground truth.
 
     Tags ending in -20d sample the base potential and Swiss-roll the result
     into 20 dimensions with a rotation seeded by `seed`. n and beta default
-    per tag; extra keyword arguments reach sample_mcmc.
+    per tag; sample_mcmc runs at its own defaults.
     """
     if name not in DATASET_DEFAULTS:
         known = ", ".join(sorted(DATASET_DEFAULTS))
@@ -451,9 +444,7 @@ def generate_dataset(
     beta = beta_default if beta is None else beta
     base = name[: -len("-20d")] if rolled else name
     potential = make_potential(base, beta=beta)
-    cloud = sample_mcmc(potential, n, seed=seed, **mcmc_kwargs)
+    cloud = sample_mcmc(potential, n, seed=seed)
     if rolled:
-        cloud = swiss_roll_embed(
-            cloud, EmbeddingSpec(target_dim=20, rotation_seed=seed)
-        )
+        cloud = swiss_roll_embed(cloud, seed)
     return cloud

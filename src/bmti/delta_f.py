@@ -35,6 +35,7 @@ from .geometry import PointCloud
 from .gradients import GradientField
 from .neighborhoods import NeighborGraph
 
+# Floor of the edge variances.
 EPS2_MIN = 1e-12
 
 # Negative quadratic forms beyond this (relative) tolerance indicate a broken
@@ -50,7 +51,7 @@ class DeltaFEdgeSet:
         edges from src = i end at dst[indptr[i]:indptr[i + 1]], in Omega_i.
     src : (E,) edge sources, made from indptr on every read, not kept.
     delta_f : (E,) midpoint estimates of F_dst - F_src.
-    eps2 : (E,) error-bar variances, floored at eps2_min.
+    eps2 : (E,) error-bar variances, floored at EPS2_MIN.
     pearson : (E,) model correlation between the errors of the two
         directional estimates, the correlation of the endpoint mean shifts
         projected on the edge.
@@ -189,10 +190,7 @@ def _shared_points(
 
 
 def build_delta_f_edges(
-    graph: NeighborGraph,
-    gradients: GradientField,
-    cloud: PointCloud,
-    eps2_min: float = EPS2_MIN,
+    graph: NeighborGraph, gradients: GradientField, cloud: PointCloud
 ) -> DeltaFEdgeSet:
     """Difference estimates and error bars for every directed edge at once.
 
@@ -202,7 +200,7 @@ def build_delta_f_edges(
 
         eps2 = (eps_i^2 + eps_j^2 + 2 p eps_i eps_j) / 4,
 
-    floored at eps2_min. The correlation comes from the points S that Omega_i
+    floored at EPS2_MIN. The correlation comes from the points S that Omega_i
     and Omega_j share besides i and j: the intersection of the graph's rows
     i and j. With a = (x - x_i) . r over S, mu = m_hat . r and s2 = |r|^2,
 
@@ -231,8 +229,6 @@ def build_delta_f_edges(
     clamped to 0; a form below -_QFORM_RTOL times the largest |form| (at
     least 1) raises DataError once every batch has run.
     """
-    if not 0.0 < eps2_min < np.inf:
-        raise ParameterError(f"eps2_min must be positive and finite, got {eps2_min}")
     indptr, dst = graph.indptr, graph.edge_dst
     n, n_e = graph.n_points, dst.shape[0]
     pts = cloud.points
@@ -349,7 +345,7 @@ def build_delta_f_edges(
         spread = (e_src > 0.0) & (e_dst > 0.0)
         p[spread] = np.clip(cov[spread] / (e_src[spread] * e_dst[spread]), -1.0, 1.0)
         var = 0.25 * (q_src + q_dst + 2.0 * p * e_src * e_dst)
-        np.maximum(var, eps2_min, out=var)
+        np.maximum(var, EPS2_MIN, out=var)
 
         # Each edge is one pair's representative or twin, so the batches
         # write disjoint entries.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -241,10 +241,7 @@ def run_benchmark(
     return reports
 
 
-_REPORT_FIELDS = [
-    "method", "dataset", "n", "D", "d_used", "mae", "aligned_offset",
-    "pull_mean", "pull_std", "runtime_seconds", "seed", "error",
-]
+_REPORT_FIELDS = [f.name for f in fields(EvaluationReport)]
 
 
 def write_report_json(reports: list[EvaluationReport], path) -> None:

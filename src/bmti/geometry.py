@@ -115,14 +115,21 @@ class PointCloud:
         return np.ascontiguousarray(self.points.T)
 
 
+def _check_dimension(d, name: str = "dimension") -> None:
+    """The one rule for a ball dimension, which every stage that reads one
+    applies: a positive, finite real (intrinsic dimensions are not rounded).
+    name is the caller's name for the value."""
+    if not 0.0 < d < np.inf:
+        raise ParameterError(f"{name} must be positive and finite, got {d}")
+
+
 def unit_ball_volume(d: float) -> float:
     """Volume of the unit ball in d dimensions, (2/d) pi^(d/2) / Gamma(d/2).
 
     Accepts non-integer d (intrinsic dimensions are real-valued).
     """
     d = float(d)
-    if not np.isfinite(d) or d <= 0:
-        raise ParameterError(f"dimension must be positive and finite, got {d}")
+    _check_dimension(d)
     return float(np.exp(np.log(2.0 / d) + 0.5 * d * np.log(np.pi) - gammaln(0.5 * d)))
 
 

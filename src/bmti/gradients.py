@@ -28,6 +28,10 @@ from .exceptions import DataError, ParameterError
 from .geometry import PointCloud
 from .neighborhoods import NeighborGraph
 
+# The smallest normal float: a squared gradient scale below it has lost bits
+# or underflowed to 0, which would floor every edge variance.
+_NORMAL_MIN = np.finfo(np.float64).tiny
+
 
 @dataclass
 class GradientField:
@@ -58,10 +62,11 @@ def compute_gradient_field(
 
     the sample covariance of the shifts over k_i - 1 with a Bessel-style
     factor for the estimated mean; it needs k_i >= 4. The sums run over the
-    rows of the graph's CSR edge list.
+    rows of the graph's CSR edge list. Radii at which ((d+2)/r^2)^2 is not a
+    finite normal float raise DataError: the variances would underflow to 0
+    or overflow (at coordinates near 2^300 or 2^-300 in size).
     """
-    if not np.isfinite(d) or d <= 0:
-        raise ParameterError(f"intrinsic dimension must be positive, got {d}")
+    geometry._check_dimension(d, "intrinsic dimension")
     if np.any(graph.k < 4):
         raise ParameterError("gradient field needs k >= 4 everywhere")
     n = graph.n_points
@@ -70,6 +75,15 @@ def compute_gradient_field(
     radii = graph.radii
     if np.any(radii <= 0.0):
         raise DataError("zero neighbourhood radius in graph")
+    # Out of range, the products go to inf or 0 and raise below.
+    with np.errstate(over="ignore", divide="ignore"):
+        scale = (d + 2.0) / (radii * radii)
+        scale2 = scale * scale
+    if not (_NORMAL_MIN <= scale2.min() and scale2.max() < np.inf):
+        raise DataError(
+            f"neighbourhood radii from {radii.min():.3g} to {radii.max():.3g} put "
+            "((d+2)/r^2)^2 outside the normal floats; rescale the coordinates"
+        )
     m = (graph.k - 1).astype(np.float64)
     starts = graph.indptr
     shift = np.empty((n, dim))
@@ -88,7 +102,6 @@ def compute_gradient_field(
         scatter[a:b] = np.add.reduceat(yc[:, :, None] * yc[:, None, :], heads, axis=0)
 
     geometry._run_batches(point_batch, n, chunk)
-    scale = (d + 2.0) / (radii * radii)
     g = -scale[:, None] * shift
-    var_g = (scale * scale / ((m - 1.0) * m))[:, None, None] * scatter
+    var_g = (scale2 / ((m - 1.0) * m))[:, None, None] * scatter
     return GradientField(g=g, var_g=var_g, mean_shift=shift, scale=scale)

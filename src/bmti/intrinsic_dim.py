@@ -9,6 +9,10 @@ import numpy as np
 
 from .exceptions import DataError, ParameterError
 
+# Fraction of the largest ratios censored, the tail where the density varies
+# across the two neighbour distances.
+DISCARD_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class IntrinsicDim:
@@ -20,32 +24,25 @@ class IntrinsicDim:
 
     d: float
     n_used: int
-    method: str = "twonn"
 
 
-def estimate_id_twonn(
-    dist: np.ndarray, embed_dim: int, discard_fraction: float = 0.1
-) -> IntrinsicDim:
+def estimate_id_twonn(dist: np.ndarray, embed_dim: int) -> IntrinsicDim:
     """Estimate the intrinsic dimension from two-neighbour distance ratios.
 
     dist is the cloud's kNN distance table (knn_query_all), one row per
     point; only its first two columns are read. For each point the ratio
     mu = r2/r1 of second to first neighbour distance follows a Pareto law
     with shape d under locally constant density. The largest
-    discard_fraction of the ratios (density-variation tail) are censored
-    rather than merely dropped, giving the maximum-likelihood estimate
+    DISCARD_FRACTION (10 %) of the ratios are censored rather than merely
+    dropped, giving the maximum-likelihood estimate
 
         d = n_kept / (sum(log mu_kept) + n_censored * log mu_max_kept).
 
     The censoring term keeps the estimate unbiased; a plain truncated mean
-    would inflate d by ~1.34 at the default fraction. The estimate is
+    would inflate d by ~1.34 at that fraction. The estimate is
     clamped to (0, embed_dim]. Points with a coincident nearest neighbour
     (r1 = 0) are skipped with a warning.
     """
-    if not 0.0 <= discard_fraction < 1.0:
-        raise ParameterError(
-            f"discard_fraction must be in [0, 1), got {discard_fraction}"
-        )
     n = dist.shape[0]
     if n < 10:
         raise ParameterError(f"TwoNN needs at least 10 points, got {n}")
@@ -68,7 +65,7 @@ def estimate_id_twonn(
     mu = r2[valid] / r1[valid]
     mu = np.sort(mu)
     n_valid = mu.shape[0]
-    n_keep = max(1, n_valid - int(np.floor(discard_fraction * n_valid)))
+    n_keep = max(1, n_valid - int(np.floor(DISCARD_FRACTION * n_valid)))
     logs = np.log(mu[:n_keep])
     log_sum = float(logs.sum() + (n_valid - n_keep) * logs[-1])
     if log_sum <= 0.0:

@@ -79,6 +79,17 @@ def _resized(a: np.ndarray, used: int, size: int) -> np.ndarray:
     return out
 
 
+def _check_adaptive_k(k_min, k_max, lr_threshold) -> None:
+    """The rule for the sizes and the threshold of adaptive k, which
+    BmtiConfig applies before any stage runs."""
+    if not (_integer(k_min) and k_min >= 4):
+        raise ParameterError(f"k_min must be an integer >= 4, got {k_min!r}")
+    if not (_integer(k_max) and k_max >= k_min):
+        raise ParameterError(f"k_max must be an integer >= k_min, got {k_max!r}")
+    if not lr_threshold > 0.0:
+        raise ParameterError(f"lr_threshold must be positive, got {lr_threshold}")
+
+
 def select_adaptive_k(
     cloud: PointCloud,
     idx: np.ndarray,
@@ -117,14 +128,8 @@ def select_adaptive_k(
     sum(k[:i] - 1); and radii[i], the distance from i to the last of them.
     """
     n = cloud.n_points
-    if not (_integer(k_min) and k_min >= 4):
-        raise ParameterError(f"k_min must be an integer >= 4, got {k_min!r}")
-    if not (_integer(k_max) and k_max >= k_min):
-        raise ParameterError(f"k_max must be an integer >= k_min, got {k_max!r}")
-    if not np.isfinite(d) or d <= 0:
-        raise ParameterError(f"intrinsic dimension must be positive, got {d}")
-    if not lr_threshold > 0:
-        raise ParameterError(f"lr_threshold must be positive, got {lr_threshold}")
+    _check_adaptive_k(k_min, k_max, lr_threshold)
+    geometry._check_dimension(d, "intrinsic dimension")
     cap = min(k_max, n - 1)
     if cap < k_min:
         raise DataError(

@@ -18,12 +18,13 @@ when it is made, so a bad setting fails before any stage runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import geometry
 from .delta_f import EPS2_MIN, DeltaFEdgeSet, build_delta_f_edges
-from .exceptions import ParameterError, _integer
+from .exceptions import ParameterError
 from .geometry import PointCloud
 from .gradients import GradientField, compute_gradient_field
 from .intrinsic_dim import IntrinsicDim, estimate_id_twonn
@@ -32,11 +33,13 @@ from .neighborhoods import (
     K_MIN,
     LR_THRESHOLD,
     NeighborGraph,
+    _check_adaptive_k,
     build_neighbor_graph,
     select_adaptive_k,
 )
 from .solver import (
     LogDensityEstimate,
+    _check_solve,
     assemble_system,
     estimate_uncertainties,
     knn_anchor,
@@ -57,9 +60,10 @@ class BmtiConfig:
     alpha blends the edge likelihood with the pointwise anchor (1 = pure
     edge integration, gauged per component; < 1 adds the anchor and needs
     no gauge). uncertainties adds dense per-point variances (small problems
-    only, alpha = 1 only). Every field is checked when the config is made:
-    a value out of range raises ParameterError, and a non-number where a
-    number belongs TypeError.
+    only, alpha = 1 only). Every field is checked when the config is made,
+    by the rule of the stage that reads it: a value out of range raises
+    ParameterError, and a non-number where a number belongs TypeError.
+    eps2_min is the constant delta_f.EPS2_MIN, not a field.
     """
 
     id_value: float | None = None
@@ -70,35 +74,15 @@ class BmtiConfig:
     cg_tol: float = 1e-8
     cg_max_iter: int | None = None
     uncertainties: bool = False
-    eps2_min: float = EPS2_MIN
+    eps2_min: ClassVar[float] = EPS2_MIN
 
     def __post_init__(self):
-        if self.id_value is not None and not 0.0 < self.id_value < np.inf:
-            raise ParameterError(f"id_value must be positive, got {self.id_value}")
-        if not (_integer(self.k_min) and self.k_min >= 4):
-            raise ParameterError(f"k_min must be an integer >= 4, got {self.k_min!r}")
-        if not (_integer(self.k_max) and self.k_max >= self.k_min):
-            raise ParameterError(
-                f"k_max must be an integer >= k_min, got {self.k_max!r}"
-            )
-        if not self.lr_threshold > 0.0:
-            raise ParameterError(
-                f"lr_threshold must be positive, got {self.lr_threshold}"
-            )
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ParameterError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not 0.0 < self.cg_tol < 1.0:
-            raise ParameterError(f"cg_tol must be in (0, 1), got {self.cg_tol}")
-        if self.cg_max_iter is not None and not (
-            _integer(self.cg_max_iter) and self.cg_max_iter >= 1
-        ):
-            raise ParameterError(
-                f"cg_max_iter must be a positive integer, got {self.cg_max_iter!r}"
-            )
+        if self.id_value is not None:
+            geometry._check_dimension(self.id_value, "id_value")
+        _check_adaptive_k(self.k_min, self.k_max, self.lr_threshold)
+        _check_solve(self.alpha, self.cg_tol, self.cg_max_iter, prefix="cg_")
         if self.uncertainties and self.alpha != 1.0:
             raise ParameterError("uncertainties require alpha = 1")
-        if not 0.0 < self.eps2_min < np.inf:
-            raise ParameterError(f"eps2_min must be positive, got {self.eps2_min}")
 
 
 @dataclass
@@ -147,7 +131,7 @@ def run_bmti(cloud: PointCloud, config: BmtiConfig | None = None) -> BmtiResult:
     del idx, dist
     graph = build_neighbor_graph(cloud, k, edge_dst, radii)
     gradients = compute_gradient_field(graph, cloud, d)
-    edges = build_delta_f_edges(graph, gradients, cloud, eps2_min=cfg.eps2_min)
+    edges = build_delta_f_edges(graph, gradients, cloud)
 
     system = assemble_system(edges)
     # The pure solve (alpha = 1) does not read the anchor.

@@ -72,7 +72,6 @@ class LogDensityEstimate:
 
     F: np.ndarray
     var_F: np.ndarray | None
-    method: str
     alpha: float
     cg_iterations: int
     residual: float
@@ -281,6 +280,21 @@ def _pcg(
     return x, it, res
 
 
+def _check_solve(alpha, tol, max_iter, prefix: str = "") -> None:
+    """The rule for alpha, tol and max_iter, which BmtiConfig applies before
+    any stage runs; prefix is the caller's prefix of the names of tol and
+    max_iter ("cg_" in the config)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
+    # The iteration starts at relative residual 1.
+    if not 0.0 < tol < 1.0:
+        raise ParameterError(f"{prefix}tol must be in (0, 1), got {tol}")
+    if max_iter is not None and not (_integer(max_iter) and max_iter >= 1):
+        raise ParameterError(
+            f"{prefix}max_iter must be an integer >= 1, got {max_iter!r}"
+        )
+
+
 def solve_bmti(
     system: SolverSystem,
     tol: float = 1e-8,
@@ -306,13 +320,7 @@ def solve_bmti(
     Relative residual ||M F - rhs|| / ||rhs|| must reach tol, in (0, 1),
     within max_iter (an integer >= 1, default 10 n) iterations.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0, 1], got {alpha}")
-    # The iteration starts at relative residual 1.
-    if not 0.0 < tol < 1.0:
-        raise ParameterError(f"tol must be in (0, 1), got {tol}")
-    if max_iter is not None and not (_integer(max_iter) and max_iter >= 1):
-        raise ParameterError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _check_solve(alpha, tol, max_iter)
     n = system.n_points
     if max_iter is None:
         max_iter = 10 * n
@@ -347,22 +355,23 @@ def solve_bmti(
                 M, _TwoLevel(M, system.component_labels), rhs, tol, max_iter
             )
     return LogDensityEstimate(
-        F=F, var_F=None, method="bmti", alpha=float(alpha),
+        F=F, var_F=None, alpha=float(alpha),
         cg_iterations=it, residual=res,
     )
 
 
-def estimate_uncertainties(system: SolverSystem, cap: int = UNCERTAINTY_CAP) -> np.ndarray:
+def estimate_uncertainties(system: SolverSystem) -> np.ndarray:
     """Per-point variances: the diagonal of the pseudo-inverse of A.
 
-    Dense computation, limited to n <= cap points. With diagonal edge
-    precisions these are mildly optimistic since correlated edge errors are
-    ignored off the diagonal.
+    Dense computation, limited to n <= UNCERTAINTY_CAP points. With
+    diagonal edge precisions these are mildly optimistic since correlated
+    edge errors are ignored off the diagonal.
     """
     n = system.n_points
-    if n > cap:
+    if n > UNCERTAINTY_CAP:
         raise CapabilityError(
-            f"uncertainty estimation is dense and capped at {cap} points, got {n}"
+            f"uncertainty estimation is dense and capped at {UNCERTAINTY_CAP} "
+            f"points, got {n}"
         )
     pinv = np.linalg.pinv(system.A.toarray(), hermitian=True)
     var = np.diag(pinv).copy()
@@ -379,8 +388,6 @@ def knn_anchor(
     density estimate; the curvature h_i = k_i is the second derivative of the
     Poisson neighbour-count log-likelihood at its maximum.
     """
-    if not np.isfinite(d) or d <= 0:
-        raise ParameterError(f"intrinsic dimension must be positive, got {d}")
     n = graph.n_points
     log_vol = np.log(unit_ball_volume(d)) + d * np.log(graph.radii)
     f0 = np.log(float(n)) + log_vol - np.log(graph.k - 1.0)

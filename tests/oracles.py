@@ -262,20 +262,15 @@ def edge_correlation(
     return float(np.clip(cov / np.sqrt(den), -1.0, 1.0))
 
 
-def delta_f_variance(
-    eps_i: float,
-    eps_j: float,
-    pearson: float,
-    eps2_min: float = EPS2_MIN,
-) -> float:
+def delta_f_variance(eps_i: float, eps_j: float, pearson: float) -> float:
     """Variance of the midpoint estimate from its two directional halves:
-    (eps_i^2 + eps_j^2 + 2 p eps_i eps_j) / 4, floored at eps2_min."""
+    (eps_i^2 + eps_j^2 + 2 p eps_i eps_j) / 4, floored at EPS2_MIN."""
     if not -1.0 <= pearson <= 1.0:
         raise ParameterError(f"pearson must be in [-1, 1], got {pearson}")
     if eps_i < 0.0 or eps_j < 0.0:
         raise ParameterError("directional standard deviations must be >= 0")
     eps2 = 0.25 * (eps_i * eps_i + eps_j * eps_j + 2.0 * pearson * eps_i * eps_j)
-    return max(eps2, eps2_min)
+    return max(eps2, EPS2_MIN)
 
 
 # Laplacian system.

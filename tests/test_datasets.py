@@ -15,7 +15,6 @@ from bmti.datasets import (
     GAUSS2D_SIGMA,
     GLASSY_BOX_HIGH,
     GLASSY_BOX_LOW,
-    EmbeddingSpec,
     Potential,
     generate_dataset,
     glassy_centers,
@@ -278,7 +277,6 @@ def test_glassy_centers_deterministic():
     b = glassy_centers()
     assert np.array_equal(a, b)
     assert a.shape == (90, 2)
-    assert not np.array_equal(a, glassy_centers(999))
 
 
 def _oracle_potential(name):
@@ -431,13 +429,11 @@ def test_sampler_count_validation():
 
 
 def test_rotation_matrix_orthogonal_and_seeded():
-    spec = EmbeddingSpec(target_dim=20, rotation_seed=0)
-    q = rotation_matrix(spec)
+    q = rotation_matrix(0)
     assert q.shape == (20, 20)
     assert np.abs(q.T @ q - np.eye(20)).max() < 1e-10
-    assert np.array_equal(q, rotation_matrix(spec))
-    q2 = rotation_matrix(EmbeddingSpec(target_dim=20, rotation_seed=1))
-    assert not np.array_equal(q, q2)
+    assert np.array_equal(q, rotation_matrix(0))
+    assert not np.array_equal(q, rotation_matrix(1))
 
 
 def test_swiss_roll_coordinates():
@@ -445,10 +441,9 @@ def test_swiss_roll_coordinates():
 
     pts = np.array([[0.0, 0.0], [np.pi, 1.0], [1.0, -2.0]])
     cloud = PointCloud(points=pts, truth_F=np.array([0.1, 0.2, 0.3]))
-    spec = EmbeddingSpec(target_dim=3, rotation_seed=2)
-    out = swiss_roll_embed(cloud, spec)
-    q = rotation_matrix(spec)
-    unrotated = out.points @ q
+    out = swiss_roll_embed(cloud, 2)
+    assert out.points.shape == (3, 20)
+    unrotated = out.points @ rotation_matrix(2)
     # x=0 rolls to the origin of the spiral plane.
     assert abs(unrotated[0, 0]) < 1e-12 and abs(unrotated[0, 1]) < 1e-12
     # x=pi rolls to (-pi, ~0).
@@ -457,6 +452,9 @@ def test_swiss_roll_coordinates():
     assert unrotated[1, 2] == pytest.approx(1.0, rel=1e-12)
     assert unrotated[2, 0] == pytest.approx(np.cos(1.0), rel=1e-12)
     assert unrotated[2, 1] == pytest.approx(np.sin(1.0), rel=1e-12)
+    assert unrotated[2, 2] == pytest.approx(-2.0, rel=1e-12)
+    # The padding columns stay zero up to the rotation's roundoff.
+    assert np.abs(unrotated[:, 3:]).max() < 1e-12
     assert np.array_equal(out.truth_F, cloud.truth_F + 0.5 * np.log1p(pts[:, 0] ** 2))
 
 
@@ -468,14 +466,13 @@ def test_swiss_roll_truth_adds_the_log_area_stretch():
 
     rng = np.random.default_rng(11)
     pts = np.column_stack([rng.uniform(-12.0, 12.0, 240), rng.normal(size=240)])
-    spec = EmbeddingSpec(target_dim=20, rotation_seed=3)
-    added = swiss_roll_embed(PointCloud(points=pts, truth_F=np.zeros(240)), spec)
+    added = swiss_roll_embed(PointCloud(points=pts, truth_F=np.zeros(240)), 3)
     h = 1e-5
     jac = np.stack(
         [
             (
-                swiss_roll_embed(PointCloud(points=pts + h * step), spec).points
-                - swiss_roll_embed(PointCloud(points=pts - h * step), spec).points
+                swiss_roll_embed(PointCloud(points=pts + h * step), 3).points
+                - swiss_roll_embed(PointCloud(points=pts - h * step), 3).points
             ) / (2.0 * h)
             for step in np.eye(2)
         ],
@@ -491,7 +488,7 @@ def test_swiss_roll_rotation_preserves_distances():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0.5, 3.0, size=(40, 2))
     cloud = PointCloud(points=pts)
-    out = swiss_roll_embed(cloud, EmbeddingSpec(target_dim=20, rotation_seed=0))
+    out = swiss_roll_embed(cloud, 0)
     assert out.points.shape == (40, 20)
     x1 = pts[:, 0]
     rolled = np.column_stack(
@@ -503,10 +500,10 @@ def test_swiss_roll_rotation_preserves_distances():
 def test_swiss_roll_target_dim_validation():
     from bmti.geometry import PointCloud
 
-    cloud = PointCloud(points=np.random.default_rng(0).normal(size=(10, 2)))
-    with pytest.raises(ParameterError):
-        swiss_roll_embed(cloud, EmbeddingSpec(target_dim=2))
-    out = swiss_roll_embed(cloud, EmbeddingSpec(target_dim=20))
+    pts = np.random.default_rng(0).normal(size=(10, 20))
+    with pytest.raises(ParameterError, match="cannot hold"):
+        swiss_roll_embed(PointCloud(points=pts), 0)
+    out = swiss_roll_embed(PointCloud(points=pts[:, :19]), 0)
     assert out.points.shape == (10, 20)
 
 
@@ -530,7 +527,7 @@ def test_generate_dataset_basic():
 def test_generate_dataset_rolled_matches_manual_embedding():
     base = generate_dataset("mb2d", n=50, seed=4)
     rolled = generate_dataset("mb2d-20d", n=50, seed=4)
-    manual = swiss_roll_embed(base, EmbeddingSpec(target_dim=20, rotation_seed=4))
+    manual = swiss_roll_embed(base, 4)
     assert rolled.points.shape == (50, 20)
     assert np.array_equal(rolled.points, manual.points)
     assert np.array_equal(rolled.truth_F, manual.truth_F)

@@ -392,13 +392,6 @@ def test_calibration_requires_truth(rng):
         calibration_report(edges, cloud)
 
 
-def test_edge_builder_rejects_bad_floor(rng):
-    cloud, graph, field = pipeline_stages(rng, n=40, k=5)
-    for eps2_min in (0.0, np.nan, np.inf):
-        with pytest.raises(ParameterError, match="eps2_min"):
-            build_delta_f_edges(graph, field, cloud, eps2_min=eps2_min)
-
-
 def test_edge_kernel_allocates_under_81_bytes_per_edge(rng, monkeypatch):
     # On one thread, so that one batch is alive at a time, and on a cloud
     # whose n is large next to its k: a bitmap that grew with n (a slot of

@@ -10,15 +10,15 @@ from conftest import twonn
 from bmti.datasets import generate_dataset
 from bmti.exceptions import ParameterError
 from bmti.geometry import PointCloud, knn_query_all
-from bmti.intrinsic_dim import estimate_id_twonn
+from bmti.intrinsic_dim import DISCARD_FRACTION, estimate_id_twonn
 
 
-def pareto_tail_fit(cloud: PointCloud, discard_fraction: float = 0.1) -> float:
+def pareto_tail_fit(cloud: PointCloud) -> float:
     """Regression oracle: slope of log survival vs log ratio is -d."""
     _, dist = knn_query_all(cloud, 2)
     mu = np.sort(dist[:, 1] / dist[:, 0])
     n = mu.shape[0]
-    keep = n - int(np.floor(discard_fraction * n))
+    keep = n - int(np.floor(DISCARD_FRACTION * n))
     mu = mu[:keep]
     emp = 1.0 - (np.arange(1, keep + 1) - 0.5) / n
     x = np.log(mu)
@@ -87,10 +87,6 @@ def test_coincident_neighbours_skipped():
 
 def test_parameter_guards(rng):
     _, dist = knn_query_all(PointCloud(points=rng.standard_normal((50, 2))), 2)
-    with pytest.raises(ParameterError):
-        estimate_id_twonn(dist, 2, discard_fraction=1.0)
-    with pytest.raises(ParameterError):
-        estimate_id_twonn(dist, 2, discard_fraction=-0.1)
     with pytest.raises(ParameterError):
         estimate_id_twonn(dist[:, :1], 2)
     _, small = knn_query_all(PointCloud(points=rng.standard_normal((9, 2))), 2)

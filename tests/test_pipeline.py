@@ -23,7 +23,7 @@ from oracles import stage_peaks
 from bmti import geometry, pipeline, solver
 from bmti.datasets import generate_dataset
 from bmti.delta_f import build_delta_f_edges
-from bmti.exceptions import BmtiError, ConvergenceError, ParameterError
+from bmti.exceptions import BmtiError, ConvergenceError, DataError, ParameterError
 from bmti.geometry import PointCloud
 from bmti.gradients import compute_gradient_field
 from bmti.neighborhoods import LR_THRESHOLD, select_adaptive_k
@@ -184,6 +184,29 @@ def test_run_bmti_invariant_under_isometry_and_rescaling(
     for other in moved:
         assert np.array_equal(other.graph.k, base.graph.k)
         np.testing.assert_allclose(other.F - other.F.mean(), want, rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def gauss2d_1000():
+    cloud = generate_dataset("gauss2d", n=1000, seed=0)
+    return cloud, run_bmti(cloud, BmtiConfig(cg_tol=1e-12)).F
+
+
+@pytest.mark.parametrize("power", [250, -250])
+def test_far_dyadic_scales_leave_F_unchanged(gauss2d_1000, power):
+    cloud, F = gauss2d_1000
+    cfg = BmtiConfig(cg_tol=1e-12)
+    scaled = run_bmti(PointCloud(points=cloud.points * 2.0**power), cfg)
+    assert np.array_equal(scaled.F, F)
+
+
+@pytest.mark.parametrize("power", [300, -300])
+def test_scales_that_break_the_gradient_variances_raise(gauss2d_1000, power):
+    # ((d+2)/r^2)^2 underflows to 0 at 2^300, which floored every edge
+    # variance, and overflows at 2^-300.
+    cloud, _ = gauss2d_1000
+    with pytest.raises(DataError, match="rescale the coordinates"):
+        run_bmti(PointCloud(points=cloud.points * 2.0**power))
 
 
 def test_results_independent_of_threads_and_batches(monkeypatch):
@@ -370,7 +393,6 @@ def test_uncertainties_need_pure_integration():
         {"cg_tol": 1.0},
         {"alpha": 0.5, "cg_tol": 0.0},
         {"cg_max_iter": 0},
-        {"eps2_min": 0.0},
     ],
     ids=lambda fields: ",".join(f"{k}={v}" for k, v in fields.items()),
 )

@@ -16,6 +16,7 @@ from bmti.exceptions import CapabilityError, ParameterError, StateError
 from bmti.geometry import PointCloud, knn_query_all, unit_ball_volume
 from bmti.gradients import compute_gradient_field
 from bmti.solver import (
+    UNCERTAINTY_CAP,
     assemble_system,
     estimate_uncertainties,
     knn_anchor,
@@ -348,9 +349,9 @@ def test_variance_matches_dense_oracle(rng):
 
 def test_uncertainty_cap():
     rng = np.random.default_rng(0)
-    edges = random_instance(rng, 30)
+    edges = random_instance(rng, UNCERTAINTY_CAP + 1)
     with pytest.raises(CapabilityError):
-        estimate_uncertainties(assemble_system(edges), cap=10)
+        estimate_uncertainties(assemble_system(edges))
 
 
 def test_empty_edge_set_rejected():
