@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .exceptions import DataError, ParameterError
+from .exceptions import DataError, ParameterError, _integer
 from .geometry import PointCloud, _check_dimension, knn_query_all, unit_ball_volume
 from .intrinsic_dim import estimate_id_twonn
 
@@ -15,7 +15,6 @@ from .intrinsic_dim import estimate_id_twonn
 @dataclass
 class BaselineEstimate:
     F: np.ndarray
-    method: str
     params: dict
 
 
@@ -44,8 +43,8 @@ def knn_density(
     column k-1 is read; without it the table is queried at k.
     """
     n = cloud.n_points
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
+    if not (_integer(k) and 1 <= k <= n - 1):
+        raise ParameterError(f"k must be an integer in [1, {n - 1}], got {k!r}")
     _check_dimension(d)
     if dist is None:
         _, dist = knn_query_all(cloud, k)
@@ -58,7 +57,7 @@ def knn_density(
     if np.any(r == 0.0):
         raise DataError("zero k-th neighbour distance: duplicate points")
     F = np.log(float(n)) + np.log(unit_ball_volume(d)) + d * np.log(r) - np.log(float(k))
-    return BaselineEstimate(F=F, method="knn", params={"k": k, "d": float(d)})
+    return BaselineEstimate(F=F, params={"k": k, "d": float(d)})
 
 
 def knn_baseline(
@@ -82,7 +81,7 @@ def knn_baseline(
         if volume_dim == "embed":
             d = float(cloud.embed_dim)
         elif volume_dim == "id":
-            _, dist = knn_query_all(cloud, 2 if k is None else max(int(k), 2))
+            _, dist = knn_query_all(cloud, 2 if k is None else max(k, 2))
             d = estimate_id_twonn(dist, cloud.embed_dim).d
         else:
             raise ParameterError(
@@ -90,7 +89,7 @@ def knn_baseline(
             )
     if k is None:
         k, dist = abramson_k(cloud.n_points, d), None
-    return knn_density(cloud, d, int(k), dist)
+    return knn_density(cloud, d, k, dist)
 
 
 def silverman_bandwidth(cloud: PointCloud) -> float:
@@ -139,4 +138,4 @@ def gkde_density(cloud: PointCloud, bandwidth: float | None = None) -> BaselineE
     """
     h = silverman_bandwidth(cloud) if bandwidth is None else float(bandwidth)
     F = gkde_neg_log_density(cloud.points, cloud.points, h)
-    return BaselineEstimate(F=F, method="gkde", params={"bandwidth": h})
+    return BaselineEstimate(F=F, params={"bandwidth": h})

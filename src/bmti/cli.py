@@ -13,12 +13,16 @@ import sys
 
 import numpy as np
 
-from .baselines import gkde_density, knn_baseline
 from .datasets import DATASET_DEFAULTS, generate_dataset
-from .evaluation import METHODS, align_and_mae, run_benchmark, write_csv_columns
+from .evaluation import (
+    METHODS,
+    align_and_mae,
+    run_benchmark,
+    run_method,
+    write_csv_columns,
+)
 from .exceptions import BmtiError, DataError, ParameterError
 from .geometry import PointCloud
-from .pipeline import BmtiConfig, run_bmti
 from .solver import UNCERTAINTY_CAP
 
 _FLOAT_FMT = "%.17g"
@@ -122,25 +126,43 @@ def _dump_gradients(gradients, path) -> None:
     )
 
 
-def _cmd_estimate(args) -> int:
-    cloud = read_cloud_csv(args.input)
-    bmti_only = [
-        (args.dump_edges, "--dump-edges"),
-        (args.dump_gradients, "--dump-gradients"),
-        (args.uncertainties, "--uncertainties"),
-    ]
-    if args.method != "bmti":
-        for value, flag in bmti_only:
-            if value:
-                raise ParameterError(f"{flag} applies to the bmti method only")
+# The estimate flags a method reads: for each flag's dest, the methods and
+# the parameter it sets for each (None for the dumps, which set none).
+_FLAG_PARAMS = {
+    "id": {"bmti": "id_value", "knn": "d"},
+    "alpha": {"bmti": "alpha"},
+    "uncertainties": {"bmti": "uncertainties"},
+    "dump_edges": {"bmti": None},
+    "dump_gradients": {"bmti": None},
+    "k": {"knn": "k"},
+    "volume_dim": {"knn": "volume_dim"},
+    "bandwidth": {"gkde": "bandwidth"},
+}
 
-    names = ["F_hat"]
-    if args.method == "bmti":
-        cfg = BmtiConfig(
-            id_value=args.id, alpha=args.alpha, uncertainties=args.uncertainties
-        )
-        result = run_bmti(cloud, cfg)
-        cols = [result.F]
+
+def _method_params(args) -> dict:
+    """The parameters the given flags set for args.method; a flag the
+    method does not read raises ParameterError."""
+    params = {}
+    for dest, names in _FLAG_PARAMS.items():
+        value = getattr(args, dest)
+        if value is None or value is False:
+            continue
+        if args.method not in names:
+            flag = "--" + dest.replace("_", "-")
+            raise ParameterError(f"{flag} applies to the {'/'.join(names)} method only")
+        if names[args.method] is not None:
+            params[names[args.method]] = value
+    return params
+
+
+def _cmd_estimate(args) -> int:
+    params = _method_params(args)
+    cloud = read_cloud_csv(args.input)
+    F, d_used, result = run_method(cloud, args.method, params)
+
+    names, cols = ["F_hat"], [F]
+    if result is not None:
         if result.estimate.var_F is not None:
             names.append("sigma_F")
             cols.append(np.sqrt(result.estimate.var_F))
@@ -150,15 +172,6 @@ def _cmd_estimate(args) -> int:
             _dump_edges(result.edges, args.dump_edges)
         if args.dump_gradients:
             _dump_gradients(result.gradients, args.dump_gradients)
-        d_used = result.d_used
-    elif args.method == "knn":
-        est = knn_baseline(cloud, args.k, args.volume_dim, args.id)
-        cols = [est.F]
-        d_used = est.params["d"]
-    else:
-        est = gkde_density(cloud, bandwidth=args.bandwidth)
-        cols = [est.F]
-        d_used = float(cloud.embed_dim)
 
     np.savetxt(
         args.out, np.column_stack(cols), delimiter=",", comments="",
@@ -229,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--input", required=True)
     e.add_argument("--id", type=_id_argument, default=None,
                    help="'auto' (TwoNN, default) or a fixed intrinsic dimension")
-    e.add_argument("--alpha", type=float, default=1.0,
-                   help="anchor blending; 1 = pure edge integration")
+    e.add_argument("--alpha", type=float, default=None,
+                   help="bmti anchor blending; 1 (default) = pure edge "
+                   "integration")
     e.add_argument("--out", required=True)
     e.add_argument("--dump-edges", default=None, metavar="CSV",
                    help="also write per-edge differences (bmti only)")
@@ -243,8 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="neighbour count for knn (Abramson rule when omitted)")
     e.add_argument("--bandwidth", type=float, default=None,
                    help="gkde bandwidth (Silverman rule when omitted)")
-    e.add_argument("--volume-dim", choices=["id", "embed"], default="embed",
-                   help="dimension for knn ball volumes when --id is auto")
+    e.add_argument("--volume-dim", choices=["id", "embed"], default=None,
+                   help="dimension for knn ball volumes when --id is auto "
+                   "(default embed)")
     e.set_defaults(func=_cmd_estimate)
 
     b = sub.add_parser("benchmark", help="run a benchmark config")

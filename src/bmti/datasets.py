@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import NumericalError, ParameterError
+from .exceptions import NumericalError, ParameterError, _integer
 from .geometry import PointCloud
 
 # Mueller-Brown surface: sum of A exp(a dx^2 + b dx dy + c dy^2) terms with
@@ -32,8 +32,9 @@ _MB_QUAD = np.array(
 )
 _MB_CENTER = np.array([[-1.0, 1.0], [1.0, 0.0], [0.0, 0.5], [-0.5, 1.5]])
 
-# Default covariance of the 2-d Gaussian benchmark.
+# Covariance of the 2-d Gaussian benchmark, and its precision.
 GAUSS2D_SIGMA = np.array([[1.0, 0.4], [0.4, 0.2]])
+_GAUSS2D_PRECISION = np.linalg.inv(GAUSS2D_SIGMA)
 
 # Glassy mixture: 0.6 on three fixed anisotropic bumps, 0.18 spread over 90
 # narrow isotropic Gaussians, 0.22 uniform background, all on a periodic box.
@@ -53,6 +54,12 @@ GLASSY_CENTER_SEED = 12345
 SIXD_BOX_LOW = np.array([-2.5, -3.5])
 SIXD_BOX_HIGH = np.array([4.0, 5.0])
 
+# The sampler's setting: independent walkers, burn-in steps (ten tuning
+# windows of _BURN_IN // 10 steps) and steps between recorded sweeps.
+_WALKERS = 32
+_BURN_IN = 2000
+_THINNING = 50
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -67,7 +74,6 @@ class Potential:
     into [init_low, init_low + period) per axis.
     """
 
-    name: str
     dim: int
     beta: float
     energy: Callable[[np.ndarray], np.ndarray]
@@ -139,6 +145,10 @@ def mueller_brown(x, y):
     return u if u.shape else float(u)
 
 
+def _gauss2d_energy(pts: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("mi,ij,mj->m", pts, _GAUSS2D_PRECISION, pts)
+
+
 def _mb_energy(pts: np.ndarray) -> np.ndarray:
     return mueller_brown(pts[:, 0], pts[:, 1])
 
@@ -194,43 +204,24 @@ def glassy_density(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return rho + 0.22 / float(np.prod(_GLASSY_PERIOD))
 
 
-def make_potential(
-    name: str,
-    beta: float | None = None,
-    sigma: np.ndarray | None = None,
-) -> Potential:
+def make_potential(name: str, beta: float | None = None) -> Potential:
     """Build one of the named benchmark potentials.
 
-    gauss2d: U = x^T Sigma^-1 x / 2 (sigma defaults to the benchmark
-    covariance, must be symmetric positive definite). mb2d: the
+    gauss2d: U = x^T Sigma^-1 x / 2 with Sigma = GAUSS2D_SIGMA. mb2d: the
     Mueller-Brown surface, default beta 0.035. sixd: the cubed two-bump
     landscape on the first two coordinates (hard sampling box) plus unit
     harmonic wells on the other four. glassy2d: minus log of the glassy
     mixture on its periodic box.
     """
     if name == "gauss2d":
-        sig = GAUSS2D_SIGMA if sigma is None else np.asarray(sigma, dtype=np.float64)
-        if sig.shape != (2, 2) or not np.allclose(sig, sig.T):
-            raise ParameterError("sigma must be a symmetric 2x2 matrix")
-        try:
-            np.linalg.cholesky(sig)
-        except np.linalg.LinAlgError:
-            raise ParameterError("sigma must be positive definite") from None
-        prec = np.linalg.inv(sig)
-
-        def energy(pts, _p=prec):
-            return 0.5 * np.einsum("mi,ij,mj->m", pts, _p, pts)
-
-        width = 3.0 * np.sqrt(np.diag(sig))
+        width = 3.0 * np.sqrt(np.diag(GAUSS2D_SIGMA))
         return Potential(
-            name="gauss2d", dim=2, beta=1.0 if beta is None else float(beta),
-            energy=energy, init_low=-width, init_high=width,
+            dim=2, beta=1.0 if beta is None else float(beta),
+            energy=_gauss2d_energy, init_low=-width, init_high=width,
         )
-    if sigma is not None:
-        raise ParameterError(f"sigma only applies to gauss2d, not {name!r}")
     if name == "mb2d":
         return Potential(
-            name="mb2d", dim=2, beta=0.035 if beta is None else float(beta),
+            dim=2, beta=0.035 if beta is None else float(beta),
             energy=_mb_energy,
             init_low=np.array([-1.5, -0.2]), init_high=np.array([1.0, 1.8]),
         )
@@ -238,7 +229,7 @@ def make_potential(
         low = np.concatenate([SIXD_BOX_LOW, np.full(4, -np.inf)])
         high = np.concatenate([SIXD_BOX_HIGH, np.full(4, np.inf)])
         return Potential(
-            name="sixd", dim=6, beta=1.0 if beta is None else float(beta),
+            dim=6, beta=1.0 if beta is None else float(beta),
             energy=_sixd_energy,
             init_low=np.concatenate([SIXD_BOX_LOW, np.full(4, -2.0)]),
             init_high=np.concatenate([SIXD_BOX_HIGH, np.full(4, 2.0)]),
@@ -251,7 +242,7 @@ def make_potential(
             return -np.log(glassy_density(pts, _c))
 
         return Potential(
-            name="glassy2d", dim=2, beta=1.0 if beta is None else float(beta),
+            dim=2, beta=1.0 if beta is None else float(beta),
             energy=energy, init_low=GLASSY_BOX_LOW, init_high=GLASSY_BOX_HIGH,
             period=_GLASSY_PERIOD.copy(),
         )
@@ -260,40 +251,19 @@ def make_potential(
     )
 
 
-def _check_count(value, name: str, minimum: int) -> int:
-    v = float(value)
-    if not math.isfinite(v) or v != int(v) or int(v) < minimum:
-        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value}")
-    return int(v)
-
-
-def sample_mcmc(
-    potential: Potential,
-    n: int,
-    seed: int = 0,
-    step: float | None = None,
-    burn_in: int = 2000,
-    thinning: int = 50,
-    walkers: int = 32,
-) -> PointCloud:
+def sample_mcmc(potential: Potential, n: int, seed: int = 0) -> PointCloud:
     """Sample n points from exp(-beta U) with a Metropolis random walk.
 
-    Runs `walkers` independent chains with isotropic Gaussian proposals.
-    When step is None the proposal width is tuned during burn-in toward a
-    40% acceptance rate, in ten windows of burn_in // 10 steps, and the
-    burn_in % 10 steps left over run at the tuned width; a given step skips
-    tuning but still burns in.
-    Every thinning-th sweep contributes one point per walker until n points
-    exist. truth_F stores beta*U per point (the normalization constant is a
-    gauge). Deterministic for a fixed seed. Warns when the production
-    acceptance rate leaves [0.1, 0.9].
+    Runs _WALKERS (32) independent chains with isotropic Gaussian
+    proposals. The proposal width is tuned during the _BURN_IN (2000)
+    burn-in steps toward a 40% acceptance rate, in ten windows of 200
+    steps. Every _THINNING-th (50th) sweep after that contributes one point
+    per walker until n points exist. truth_F stores beta*U per point (the
+    normalization constant is a gauge). Deterministic for a fixed seed.
+    Warns when the production acceptance rate leaves [0.1, 0.9].
     """
-    n = _check_count(n, "n", 1)
-    burn_in = _check_count(burn_in, "burn_in", 0)
-    thinning = _check_count(thinning, "thinning", 1)
-    walkers = _check_count(walkers, "walkers", 1)
-    if step is not None and (not np.isfinite(step) or step <= 0.0):
-        raise ParameterError(f"step must be positive, got {step}")
+    if not (_integer(n) and n >= 1):
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
 
     rng = np.random.default_rng(seed)
     dim = potential.dim
@@ -309,7 +279,7 @@ def sample_mcmc(
             box = np.flatnonzero(finite)
             blo, bhi = potential.bounds_low[box], potential.bounds_high[box]
 
-    x = rng.uniform(potential.init_low, potential.init_high, size=(walkers, dim))
+    x = rng.uniform(potential.init_low, potential.init_high, size=(_WALKERS, dim))
     u = potential.evaluate(x)
 
     def sweep(n_steps: int, s: float) -> float:
@@ -317,7 +287,7 @@ def sample_mcmc(
         # An inf - inf energy difference is NaN and rejects the proposal.
         with np.errstate(invalid="ignore"):
             for _ in range(n_steps):
-                prop = rng.standard_normal((walkers, dim))
+                prop = rng.standard_normal((_WALKERS, dim))
                 prop *= s
                 prop += x
                 if period is not None:
@@ -325,44 +295,33 @@ def sample_mcmc(
                     prop %= period
                     prop += low
                 u_prop = potential.evaluate(prop)
-                take = np.log(rng.random(walkers)) < -beta * (u_prop - u)
+                take = np.log(rng.random(_WALKERS)) < -beta * (u_prop - u)
                 if box is not None:
                     side = prop[:, box]
                     take &= ((side >= blo) & (side <= bhi)).all(axis=1)
                 np.copyto(x, prop, where=take[:, None])
                 np.copyto(u, u_prop, where=take)
                 accepted += np.count_nonzero(take)
-        return accepted / float(n_steps * walkers)
+        return accepted / float(n_steps * _WALKERS)
 
-    if step is None:
-        s = 0.25 * float(np.mean(potential.init_high - potential.init_low))
-        s /= math.sqrt(dim)
-        w_len, rest = divmod(burn_in, 10)
-        if w_len:
-            for _ in range(10):
-                rate = sweep(w_len, s)
-                s *= math.exp(2.0 * (rate - 0.4))
-        if rest:
-            sweep(rest, s)
-    else:
-        s = float(step)
-        if burn_in:
-            sweep(burn_in, s)
+    s = 0.25 * float(np.mean(potential.init_high - potential.init_low))
+    s /= math.sqrt(dim)
+    for _ in range(10):
+        rate = sweep(_BURN_IN // 10, s)
+        s *= math.exp(2.0 * (rate - 0.4))
 
-    blocks = -(-n // walkers)
-    pts = np.empty((blocks * walkers, dim))
-    energies = np.empty(blocks * walkers)
+    blocks = -(-n // _WALKERS)
+    pts = np.empty((blocks * _WALKERS, dim))
+    energies = np.empty(blocks * _WALKERS)
     total_rate = 0.0
     for b in range(blocks):
-        total_rate += sweep(thinning, s)
-        pts[b * walkers : (b + 1) * walkers] = x
-        energies[b * walkers : (b + 1) * walkers] = u
+        total_rate += sweep(_THINNING, s)
+        pts[b * _WALKERS : (b + 1) * _WALKERS] = x
+        energies[b * _WALKERS : (b + 1) * _WALKERS] = u
     rate = total_rate / blocks
     if not 0.1 <= rate <= 0.9:
         warnings.warn(
-            f"acceptance rate {rate:.2f} outside [0.1, 0.9]; consider "
-            "adjusting step or burn_in",
-            stacklevel=2,
+            f"acceptance rate {rate:.2f} outside [0.1, 0.9]", stacklevel=2
         )
     return PointCloud(points=pts[:n], truth_F=beta * energies[:n])
 
@@ -434,7 +393,7 @@ def generate_dataset(
 
     Tags ending in -20d sample the base potential and Swiss-roll the result
     into 20 dimensions with a rotation seeded by `seed`. n and beta default
-    per tag; sample_mcmc runs at its own defaults.
+    per tag; `seed` also seeds sample_mcmc, which has no other setting.
     """
     if name not in DATASET_DEFAULTS:
         known = ", ".join(sorted(DATASET_DEFAULTS))

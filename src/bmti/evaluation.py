@@ -9,6 +9,7 @@ failures without stopping, and serializes reports to JSON and CSV.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -20,7 +21,7 @@ from .datasets import DATASET_DEFAULTS, generate_dataset
 from .delta_f import calibration_report
 from .exceptions import DataError, ParameterError, _integer
 from .geometry import PointCloud
-from .pipeline import BmtiConfig, run_bmti
+from .pipeline import BmtiConfig, BmtiResult, run_bmti
 
 SCHEMA_VERSION = 1
 METHODS = ("bmti", "knn", "gkde")
@@ -117,27 +118,34 @@ def parity_export(predicted, truth, path) -> None:
     )
 
 
-def _estimate_cell(
+# The estimator whose signature binds each method's parameters.
+_ESTIMATORS = {"bmti": BmtiConfig, "knn": knn_baseline, "gkde": gkde_density}
+
+
+def run_method(
     cloud: PointCloud, method: str, params: dict
-) -> tuple[np.ndarray, float, float | None, float | None]:
-    """Run one estimator; returns (F, d_used, pull_mean, pull_std)."""
+) -> tuple[np.ndarray, float, BmtiResult | None]:
+    """Run one method on a cloud, the CLI's and the benchmark's one path.
+
+    params maps parameter names to values, bound to the signature of
+    BmtiConfig (bmti), knn_baseline or gkde_density; a name the estimator
+    does not take raises ParameterError. Returns (F, d_used, result), with
+    result the BmtiResult for bmti and None for a baseline.
+    """
+    if method not in METHODS:
+        raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
+    estimator = _ESTIMATORS[method]
+    args = () if method == "bmti" else (cloud,)
+    try:
+        inspect.signature(estimator).bind(*args, **params)
+    except TypeError as exc:
+        raise ParameterError(f"bad {method} parameters: {exc}") from None
     if method == "bmti":
-        try:
-            cfg = BmtiConfig(**params)
-        except TypeError as exc:
-            raise ParameterError(f"bad bmti parameters: {exc}") from None
-        result = run_bmti(cloud, cfg)
-        pull = calibration_report(result.edges, cloud)
-        return result.F, result.d_used, pull.mean, pull.std
-    if method == "knn":
-        est = knn_baseline(
-            cloud, params.get("k"), params.get("volume_dim", "embed")
-        )
-        return est.F, est.params["d"], None, None
-    if method == "gkde":
-        est = gkde_density(cloud, bandwidth=params.get("bandwidth"))
-        return est.F, float(cloud.embed_dim), None, None
-    raise ParameterError(f"unknown method {method!r}; expected one of {METHODS}")
+        result = run_bmti(cloud, BmtiConfig(**params))
+        return result.F, result.d_used, result
+    est = estimator(cloud, **params)
+    d_used = est.params["d"] if method == "knn" else float(cloud.embed_dim)
+    return est.F, d_used, None
 
 
 def _run_cell(
@@ -149,7 +157,11 @@ def _run_cell(
     start = time.perf_counter()
     try:
         cloud = generate_dataset(dataset, n=n, seed=seed)
-        F_hat, d_used, pull_mean, pull_std = _estimate_cell(cloud, method, params)
+        F_hat, d_used, result = run_method(cloud, method, params)
+        pull_mean = pull_std = None
+        if result is not None:
+            pull = calibration_report(result.edges, cloud)
+            pull_mean, pull_std = pull.mean, pull.std
         offset, mae = align_and_mae(F_hat, cloud.truth_F)
         return EvaluationReport(
             method=method, dataset=dataset, n=cloud.n_points, D=cloud.embed_dim,
@@ -177,11 +189,13 @@ def run_benchmark(
     Config keys: datasets[] and methods[] (required), seeds[] of integers
     (default [0]), sizes[] of integers or None (optional; None uses each
     dataset's default count) and estimator_params{} (per-method mappings of
-    keyword arguments). A default applies only to an absent key. Any other
-    key, an empty seeds[] or sizes[], and a value of the wrong type (bool
-    and float included where an integer belongs) raise ParameterError.
-    Cells run one after another, each on every CPU. Failed cells are
-    reported with an error tag; the run continues. Reports are written to
+    keyword arguments, which run_method binds). A default applies only to an
+    absent key. Any other key, an estimator_params key that is no method,
+    an empty seeds[] or sizes[], and a value of the wrong type (bool and
+    float included where an integer belongs) raise ParameterError. Cells
+    run one after another, each on every CPU. Failed cells, a parameter
+    their method does not take included, are reported with an error tag;
+    the run continues. Reports are written to
     out_json / out_csv when given.
     """
     if not isinstance(config, dict):
@@ -219,6 +233,11 @@ def run_benchmark(
     if not isinstance(estimator_params, dict):
         raise ParameterError("estimator_params must be a mapping of method to params")
     for m, params in estimator_params.items():
+        if m not in METHODS:
+            raise ParameterError(
+                f"estimator_params names unknown method {m!r}; expected one of "
+                f"{METHODS}"
+            )
         if not isinstance(params, dict):
             raise ParameterError(
                 f"estimator_params[{m!r}] must be a mapping, got {params!r}"

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import gammaln
 
-from .exceptions import DataError, ParameterError
+from .exceptions import DataError, ParameterError, _integer
 
 # Extra candidates fetched from the tree so that equal-distance points
 # straddling the cut are ordered by index, not by tree internals.
@@ -203,8 +203,8 @@ def knn_query_all(
     _query_one.
     """
     n = cloud.n_points
-    if not 1 <= k <= n - 1:
-        raise ParameterError(f"k must be in [1, {n - 1}], got {k}")
+    if not (_integer(k) and 1 <= k <= n - 1):
+        raise ParameterError(f"k must be an integer in [1, {n - 1}], got {k!r}")
     if rows is None:
         rows = np.arange(n)
     else:

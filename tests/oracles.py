@@ -385,17 +385,15 @@ def glassy_density(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def sample_mcmc(
-    potential: Potential,
-    n: int,
-    seed: int = 0,
-    step: float | None = None,
-    burn_in: int = 2000,
-    thinning: int = 50,
-    walkers: int = 32,
+    potential: Potential, n: int, seed: int = 0, events: dict | None = None
 ) -> PointCloud:
     """datasets.sample_mcmc for valid arguments, without its acceptance
     warning: every step allocates its proposal, checks the hard box on all
-    axes and updates the walkers through boolean masks."""
+    axes and updates the walkers through boolean masks. When events is
+    given, its "wrapped" and "left_box" entries are set to the numbers of
+    proposals that the period wrapped and that fell outside the hard box."""
+    walkers, burn_in, thinning = 32, 2000, 50
+    counts = {"wrapped": 0, "left_box": 0}
     rng = np.random.default_rng(seed)
     dim = potential.dim
     beta = potential.beta
@@ -412,32 +410,26 @@ def sample_mcmc(
         for _ in range(n_steps):
             prop = x + s * rng.standard_normal((walkers, dim))
             if period is not None:
+                outside = (prop < low) | (prop >= low + period)
+                counts["wrapped"] += int(outside.any(axis=1).sum())
                 prop = low + (prop - low) % period
             u_prop = potential.evaluate(prop)
             with np.errstate(invalid="ignore"):
                 take = np.log(rng.random(walkers)) < -beta * (u_prop - u)
             if blo is not None:
-                take &= np.all((prop >= blo) & (prop <= bhi), axis=1)
+                inside = np.all((prop >= blo) & (prop <= bhi), axis=1)
+                counts["left_box"] += int((~inside).sum())
+                take &= inside
             x[take] = prop[take]
             u[take] = u_prop[take]
             accepted += int(take.sum())
         return accepted / float(n_steps * walkers)
 
-    if step is None:
-        s = 0.25 * float(np.mean(potential.init_high - potential.init_low))
-        s /= math.sqrt(dim)
-        w_len = burn_in // 10
-        for _ in range(10):
-            if w_len == 0:
-                break
-            rate = sweep(w_len, s)
-            s *= math.exp(2.0 * (rate - 0.4))
-        if burn_in % 10:
-            sweep(burn_in % 10, s)
-    else:
-        s = float(step)
-        if burn_in:
-            sweep(burn_in, s)
+    s = 0.25 * float(np.mean(potential.init_high - potential.init_low))
+    s /= math.sqrt(dim)
+    for _ in range(10):
+        rate = sweep(burn_in // 10, s)
+        s *= math.exp(2.0 * (rate - 0.4))
 
     blocks = -(-n // walkers)
     pts = np.empty((blocks * walkers, dim))
@@ -446,6 +438,8 @@ def sample_mcmc(
         sweep(thinning, s)
         pts[b * walkers : (b + 1) * walkers] = x
         energies[b * walkers : (b + 1) * walkers] = u
+    if events is not None:
+        events.update(counts)
     return PointCloud(points=pts[:n], truth_F=beta * energies[:n])
 
 

@@ -22,7 +22,7 @@ from conftest import (
 from oracles import edge_src, jaccard_overlap, neighbors
 
 from bmti.baselines import abramson_k, gkde_density, knn_density
-from bmti.datasets import generate_dataset, make_potential, sample_mcmc
+from bmti.datasets import Potential, generate_dataset, sample_mcmc
 from bmti.delta_f import build_delta_f_edges, calibration_report
 from bmti.evaluation import align_and_mae
 from bmti.geometry import PointCloud
@@ -247,9 +247,22 @@ def _ks_rejecting_scale(z, alpha, scales):
     return float("nan")
 
 
+def _diagonal_gauss2d():
+    """U = x^T Sigma^-1 x / 2 at Sigma = diag(2, 1), in the arithmetic and
+    the start box of the gauss2d potential."""
+    sigma = np.diag([2.0, 1.0])
+    prec = np.linalg.inv(sigma)
+    width = 3.0 * np.sqrt(np.diag(sigma))
+    return Potential(
+        dim=2, beta=1.0,
+        energy=lambda p: 0.5 * np.einsum("mi,ij,mj->m", p, prec, p),
+        init_low=-width, init_high=width,
+    )
+
+
 @pytest.fixture(scope="module")
 def gradient_pull_cells():
-    pot = make_potential("gauss2d", sigma=np.diag([2.0, 1.0]))
+    pot = _diagonal_gauss2d()
     scale = np.array([0.5, 1.0])  # gradient of x^2/4 + y^2/2
     rows = []
     for seed in SEEDS:

@@ -1,15 +1,18 @@
-"""The settable surface of the public API, pinned against a literal table.
+"""The settable surface of the public API and of the CLI, pinned against
+literal tables.
 
 Every setting is a configuration the tests must cover, so adding one, or a
-default, shows up here as an edit to the table.
+default, shows up here as an edit to a table.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import inspect
 
 import bmti
+from bmti.cli import build_parser
 from bmti.delta_f import EPS2_MIN
 
 # BmtiConfig's fields and their defaults.
@@ -64,15 +67,13 @@ KEYWORD_DEFAULTS = {
     "knn_anchor": {},
     "knn_density": {"dist": None},
     "knn_query_all": {"rows": None},
-    "make_potential": {"beta": None, "sigma": None},
+    "make_potential": {"beta": None},
     "mueller_brown": {},
     "parity_export": {},
     "pull_statistics": {},
     "run_benchmark": {"out_json": None, "out_csv": None},
     "run_bmti": {"config": None},
-    "sample_mcmc": {
-        "seed": 0, "step": None, "burn_in": 2000, "thinning": 50, "walkers": 32,
-    },
+    "sample_mcmc": {"seed": 0},
     "select_adaptive_k": {"lr_threshold": 23.928, "k_min": 4, "k_max": 256},
     "silverman_bandwidth": {},
     "solve_bmti": {"tol": 1e-8, "max_iter": None, "alpha": 1.0, "anchor": None},
@@ -110,3 +111,39 @@ def test_keyword_defaults_of_the_public_api_are_pinned():
         assert got == KEYWORD_DEFAULTS[name], name
         # No catch-all passes options through unseen.
         assert not [p for p in params if p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+
+
+# The options of the CLI commands that run the package, and their defaults
+# (None where the option is left to the package's default, or required).
+CLI_OPTIONS = {
+    "estimate": {
+        "--method": None,
+        "--input": None,
+        "--id": None,
+        "--alpha": None,
+        "--out": None,
+        "--dump-edges": None,
+        "--dump-gradients": None,
+        "--uncertainties": False,
+        "--k": None,
+        "--bandwidth": None,
+        "--volume-dim": None,
+    },
+    "generate": {
+        "--dataset": None,
+        "--beta": None,
+        "--n": None,
+        "--seed": 0,
+        "--out": None,
+    },
+}
+
+
+def test_cli_options_are_pinned():
+    (sub,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for command, options in CLI_OPTIONS.items():
+        actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        got = {a.option_strings[0]: a.default for a in actions}
+        assert got == options, command

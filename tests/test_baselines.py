@@ -51,7 +51,6 @@ def test_knn_single_pair_closed_form():
     cloud = PointCloud(points=np.array([[0.0], [1.0]]))
     est = knn_density(cloud, d=1.0, k=1)
     np.testing.assert_allclose(est.F, np.log(4.0) * np.ones(2), rtol=1e-14)
-    assert est.method == "knn"
 
 
 def test_knn_uniform_interior():
@@ -78,6 +77,16 @@ def test_knn_guards(rng):
         knn_density(cloud, d=2.0, k=5, dist=dist)  # table narrower than k
     with pytest.raises(ParameterError):
         knn_density(cloud, d=2.0, k=3, dist=dist[:10])  # rows missing
+    _, dist = knn_query_all(cloud, 8)
+    # k follows the package's one integer rule, with or without a table.
+    for k in (7.9, 8.0, True):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            knn_density(cloud, d=2.0, k=k)
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            knn_density(cloud, d=2.0, k=k, dist=dist)
+        for volume_dim in ("embed", "id"):
+            with pytest.raises(ParameterError, match="k must be an integer"):
+                knn_baseline(cloud, k, volume_dim)
     dup = np.zeros((5, 2))
     dup[2:] = [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
     with pytest.raises(DataError):

@@ -214,6 +214,45 @@ def test_bmti_only_flags_rejected_for_baselines(tmp_path, gauss_csv, capsys):
     assert "bmti method only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, flag, value",
+    [
+        ("bmti", "--k", "8"),
+        ("bmti", "--bandwidth", "0.3"),
+        ("bmti", "--volume-dim", "embed"),
+        ("knn", "--alpha", "1.0"),
+        ("knn", "--bandwidth", "0.3"),
+        ("knn", "--uncertainties", None),
+        ("gkde", "--k", "8"),
+        ("gkde", "--id", "2.0"),
+        ("gkde", "--volume-dim", "id"),
+    ],
+)
+def test_flags_of_another_method_are_refused(
+    tmp_path, gauss_csv, capsys, method, flag, value
+):
+    out = tmp_path / "f.csv"
+    rc = main(
+        ["estimate", "--method", method, "--input", str(gauss_csv),
+         "--out", str(out), flag, *([] if value is None else [value])]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flag} applies to the" in err and method not in err
+    assert not out.exists()
+
+
+def test_estimate_knn_id_flag_sets_the_ball_dimension(tmp_path, gauss_csv):
+    out = tmp_path / "knn.csv"
+    rc = main(
+        ["estimate", "--method", "knn", "--input", str(gauss_csv),
+         "--id", "1.5", "--k", "9", "--out", str(out)]
+    )
+    assert rc == 0
+    want = knn_density(read_cloud_csv(gauss_csv), 1.5, 9).F
+    assert np.array_equal(np.loadtxt(out, delimiter=",", skiprows=1), want)
+
+
 def test_benchmark_command(tmp_path, capsys):
     config = {"datasets": ["gauss2d"], "methods": ["gkde"], "sizes": [80]}
     cfg_path = tmp_path / "config.json"

@@ -16,10 +16,10 @@ from bmti.delta_f import pull_statistics
 from bmti.exceptions import DataError, ParameterError
 from bmti.evaluation import (
     SCHEMA_VERSION,
-    _estimate_cell,
     align_and_mae,
     parity_export,
     run_benchmark,
+    run_method,
 )
 
 
@@ -212,7 +212,8 @@ def test_knn_baseline_with_intrinsic_dimension_queries_one_table(monkeypatch, k)
     cloud = generate_dataset("gauss2d", n=300, seed=2)
     params = {"volume_dim": "id"} if k is None else {"volume_dim": "id", "k": k}
     widths = count_knn_queries(monkeypatch)
-    F, d, _, _ = _estimate_cell(cloud, "knn", params)
+    F, d, result = run_method(cloud, "knn", params)
+    assert result is None
     monkeypatch.undo()
     d_ref = twonn(cloud).d
     assert d == d_ref
@@ -222,6 +223,55 @@ def test_knn_baseline_with_intrinsic_dimension_queries_one_table(monkeypatch, k)
     assert widths == ([2, k_used] if k is None else [max(k_used, 2)])
     # The two tables of TwoNN and the baseline, queried separately.
     assert np.array_equal(F, knn_density(cloud, d_ref, k_used).F)
+
+
+def test_benchmark_knn_takes_a_given_ball_dimension():
+    config = {
+        "datasets": ["gauss2d"],
+        "methods": ["knn"],
+        "sizes": [300],
+        "estimator_params": {"knn": {"d": 1.5, "k": 9}},
+    }
+    (report,) = run_benchmark(config)
+    assert report.error is None
+    assert report.d_used == 1.5
+    cloud = generate_dataset("gauss2d", n=300, seed=0)
+    _, mae = align_and_mae(knn_density(cloud, 1.5, 9).F, cloud.truth_F)
+    assert report.mae == mae
+
+
+@pytest.mark.parametrize(
+    "method, params",
+    [
+        ("knn", {"kk": 8}),
+        ("gkde", {"bandwith": 0.3}),
+        ("gkde", {"k": 8}),
+        ("knn", {"alpha": 0.5}),
+        ("bmti", {"bandwidth": 0.3}),
+    ],
+    ids=repr,
+)
+def test_parameters_a_method_does_not_take_are_refused(method, params):
+    cloud = generate_dataset("gauss2d", n=120, seed=0)
+    (name,) = params
+    with pytest.raises(ParameterError, match=name):
+        run_method(cloud, method, params)
+    (report,) = run_benchmark(
+        {"datasets": ["gauss2d"], "methods": [method], "sizes": [120],
+         "estimator_params": {method: params}}
+    )
+    assert report.mae is None
+    assert report.error.startswith("ParameterError") and name in report.error
+
+
+@pytest.mark.parametrize("k", [7.9, 8.0, True])
+def test_benchmark_knn_k_follows_the_integer_rule(k):
+    (report,) = run_benchmark(
+        {"datasets": ["gauss2d"], "methods": ["knn"], "sizes": [120],
+         "estimator_params": {"knn": {"k": k}}}
+    )
+    assert report.mae is None
+    assert report.error.startswith("ParameterError: k must be an integer")
 
 
 def test_benchmark_failed_cell_is_tagged_and_run_continues():
@@ -295,6 +345,7 @@ _KNN_CELLS = {"datasets": ["gauss2d"], "methods": ["knn"]}
         ("sizes", 0),
         ("estimator_params", {"knn": 5}),
         ("estimator_params", {"knn": [("k", 5)]}),
+        ("estimator_params", {"knnn": {"k": 5}}),
         ("estimator_params", []),
         ("estimator_params", 0),
     ],
